@@ -4,7 +4,8 @@ JSON reports, and 2D plot-data export.
 Exit codes: 0 when the run's check passed, 1 when a check failed (the report
 carries witnesses), 2 on usage or input errors.  Reports contain no timings or
 timestamps, so identical instance files always produce byte-identical reports;
-phase timings go to stderr unless --quiet is given.
+the run time (and for verify-km the time of each phase) goes to stderr unless
+--quiet is given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convexity import ConvexFunctional, PointNet, hull_closure, is_convex_net
+from .convexity import ConvexFunctional, PointNet, hull_closure
 from .extremal import extremal_points, canonical_starts
 from .instances import (
     GEN_KINDS,
@@ -145,11 +146,13 @@ def _cmd_run(args) -> int:
         )
 
     t0 = time.perf_counter()
-    report, passed = _run_pipeline(args.subcommand, inst)
+    report, passed, timings = _run_pipeline(args.subcommand, inst)
     elapsed = time.perf_counter() - t0
     if not args.quiet:
         print(f"{args.subcommand}: {'pass' if passed else 'FAIL'} in {elapsed:.2f}s",
               file=sys.stderr)
+        for phase, seconds in timings.items():
+            print(f"  {phase}: {seconds:.3f}s", file=sys.stderr)
 
     out = args.out or f"{Path(args.instance).stem}.{args.subcommand}.report.json"
     with open(out, "w", encoding="utf-8") as fh:
@@ -158,7 +161,8 @@ def _cmd_run(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
+def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
+    """Report, verdict and phase timings (verify-km only) of one pipeline run."""
     space = inst.build_space()
     seed = inst.seed_net(space)
     report: dict = {
@@ -184,7 +188,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
             "passed": rep.passed,
         }
         report["passed"] = rep.passed
-        return report, rep.passed
+        return report, rep.passed, {}
 
     cfg = HullConfig(inst.params.segment_samples, inst.params.max_rounds)
     hull = hull_closure(space, seed, cfg.segment_samples, cfg.max_rounds)
@@ -199,7 +203,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
     if sub == "hull":
         report["points"] = {"net": [point_to_obj(p) for p in C.points]}
         report["passed"] = hull.converged
-        return report, hull.converged
+        return report, hull.converged, {}
 
     params = inst.params.extremal_params()
 
@@ -215,7 +219,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
         }
         passed = not scan.is_empty
         report["passed"] = passed
-        return report, passed
+        return report, passed, {}
 
     if sub == "verify-km":
         km, nets = verify_krein_milman(space, C, params, cfg, inst.params.pass_factor)
@@ -238,7 +242,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
             if nets["hull_of_extremal"] else [],
         }
         report["passed"] = km.passed
-        return report, km.passed
+        return report, km.passed, km.timings
 
     if sub == "paper-checks":
         suite = _default_suite(space, C)
@@ -274,7 +278,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool]:
             ],
         }
         report["passed"] = rep.passed
-        return report, rep.passed
+        return report, rep.passed, {}
 
     raise InvalidInputError(f"unknown subcommand {sub!r}")
 

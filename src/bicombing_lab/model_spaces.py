@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -15,6 +14,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .space_core import (
+    BLOCK_ENTRIES,
     BicombedSpace,
     EuclideanPoint,
     HyperboloidPoint,
@@ -87,10 +87,10 @@ def _affine_frame(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return origin, Vt[:k]
 
 
-def _row_blocks(n_rows: int, width: int, block_entries: int = 4_000_000) -> list[slice]:
-    """Row slices covering range(n_rows) whose temporaries of n_rows x width
-    entries stay within block_entries each."""
-    rows = max(1, block_entries // max(width, 1))
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Row slices covering range(n_rows) whose temporaries of rows x width
+    entries stay within BLOCK_ENTRIES each."""
+    rows = max(1, BLOCK_ENTRIES // max(width, 1))
     return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
@@ -404,7 +404,7 @@ class HyperbolicPlane(BicombedSpace):
         np.maximum(q, 0.0, out=q)
         return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
 
-    def min_dist(self, A, B, block_entries: int = 4_000_000) -> np.ndarray:
+    def min_dist(self, A, B) -> np.ndarray:
         """Row minima of the distance matrix without per-entry arcsinh.
 
         The chord square q is monotone in the distance, so only row minima
@@ -414,7 +414,7 @@ class HyperbolicPlane(BicombedSpace):
         """
         na, nb = A.shape[0], B.shape[0]
         Bs = (B * _MINK_SIGNS).T
-        rows = max(1, block_entries // max(nb, 1))
+        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
         out = np.empty(na)
         for lo in range(0, na, rows):
             Ab = A[lo : lo + rows]
@@ -526,14 +526,25 @@ def lorentz_boost(eta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: the four route terms of a tree distance, in `_route_terms` order: the first
+#: point's leg to its exit node, exit node, entry node, the second point's leg
+_ROUTE_ENDS = (
+    ("to_tail", "tail", "tail", "to_tail"),
+    ("to_tail", "tail", "head", "to_head"),
+    ("to_head", "head", "tail", "to_tail"),
+    ("to_head", "head", "head", "to_head"),
+)
+
+
 class TreeSpace(BicombedSpace):
     """Edge-weighted tree with path-length distance and the unique-geodesic
     segment map (walk at constant speed along the connecting path).
 
     Points are (edge index, offset from the edge's tail).  Node locations are
     canonicalized to the smallest incident edge index so point equality is
-    decidable.  Node-to-node distances are resolved by single-source traversal
-    with per-node row caching; no preprocessing beyond adjacency.
+    decidable.  Construction tabulates, for every ordered node pair (u, v),
+    the path length d(u, v) and the first edge of the path from u to v (two
+    N x N tables); distances and segment walks only read them.
     """
 
     def __init__(self, spec: MetricTreeSpec):
@@ -550,62 +561,75 @@ class TreeSpace(BicombedSpace):
             raise InvalidInputError(
                 f"a tree on {len(nodes)} nodes needs {len(nodes) - 1} edges, got {len(edges)}"
             )
-        self._adj: list[list[tuple[int, int, float]]] = [[] for _ in nodes]
+        adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
         for ei, (u, v, w) in enumerate(edges):
             if w <= 0:
                 raise InvalidInputError(f"edge {ei} has non-positive length {w}")
             if u not in self._node_idx or v not in self._node_idx:
                 raise InvalidInputError(f"edge {ei} references unknown node")
             ui, vi = self._node_idx[u], self._node_idx[v]
-            self._adj[ui].append((ei, vi, w))
-            self._adj[vi].append((ei, ui, w))
-        # connectivity: |edges| == |nodes|-1 plus connectedness implies acyclic
-        seen = self._bfs_order(0)
-        if len(seen) != len(nodes):
-            raise InvalidInputError("edge set does not connect all nodes")
+            adj[ui].append((ei, vi))
+            adj[vi].append((ei, ui))
         self.spec = MetricTreeSpec(tuple(nodes), tuple(edges))
         self.description = f"metric tree ({len(nodes)} nodes, {len(edges)} edges)"
         self._tail = np.array([self._node_idx[e[0]] for e in edges], dtype=np.int64)
         self._head = np.array([self._node_idx[e[1]] for e in edges], dtype=np.int64)
         self._len = np.array([e[2] for e in edges], dtype=np.float64)
-        self._node_rows: dict[int, np.ndarray] = {}
         # smallest incident edge per node, for canonical node representations
-        self._canon_edge = [min(e for e, _, _ in self._adj[i]) if self._adj[i] else -1
-                            for i in range(len(nodes))]
+        self._canon_edge = np.array([min((e for e, _ in a), default=-1) for a in adj],
+                                    dtype=np.int64)
+        self._dist, self._next_edge = self._node_tables(adj)
 
     # -- construction helpers ------------------------------------------------
 
-    def _bfs_order(self, root: int) -> list[int]:
-        seen = {root}
-        order = [root]
-        q = deque([root])
-        while q:
-            cur = q.popleft()
-            for _, nxt, _ in self._adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    q.append(nxt)
-        return order
+    def _node_tables(self, adj: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
+        """Node-distance and first-edge tables, indexed [source, target].
 
-    def node_row(self, node: int) -> np.ndarray:
-        """Distances from one node to every node (cached single-source walk)."""
-        row = self._node_rows.get(node)
-        if row is None:
-            row = np.full(len(self.nodes), np.inf)
-            row[node] = 0.0
-            q = deque([node])
-            while q:
-                cur = q.popleft()
-                for _, nxt, w in self._adj[cur]:
-                    if row[nxt] == np.inf:
-                        row[nxt] = row[cur] + w
-                        q.append(nxt)
-            self._node_rows[node] = row
-        return row
+        The tree is rooted at node 0 and numbered in depth-first preorder, so
+        each subtree is a contiguous range of positions.  d(u, v) accumulates
+        from u outwards, d(u, v) = d(u, w) + len(w, v) with w the neighbour of
+        v towards u: w is the child of v above u when u lies below v, and v's
+        parent otherwise.  These are the sums a breadth-first walk from u
+        forms, one edge at a time.
+        """
+        n = len(adj)
+        parent, up_edge = [-1] * n, [-1] * n
+        seen = [False] * n
+        seen[0] = True
+        stack, pre = [0], []
+        while stack:
+            cur = stack.pop()
+            pre.append(cur)
+            for ei, nxt in adj[cur]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    parent[nxt], up_edge[nxt] = cur, ei
+                    stack.append(nxt)
+        # connectivity: |edges| == |nodes|-1 plus connectedness implies acyclic
+        if len(pre) != n:
+            raise InvalidInputError("edge set does not connect all nodes")
+        pos = np.empty(n, dtype=np.int64)
+        pos[pre] = np.arange(n)
+        end = pos + 1  # one past the last preorder position of each subtree
+        for v in reversed(pre[1:]):
+            end[parent[v]] = max(end[parent[v]], end[v])
+        # both tables in preorder positions; dist_to[v, u] = d(u, v)
+        dist_to = np.zeros((n, n))
+        first = np.full((n, n), -1, dtype=np.int32)
+        for v in reversed(pre[1:]):  # sources below v reach parent(v) through v
+            pv, pp, w = pos[v], pos[parent[v]], self._len[up_edge[v]]
+            dist_to[pp, pv : end[v]] = dist_to[pv, pv : end[v]] + w
+            first[pp, pv : end[v]] = up_edge[v]
+        for v in pre[1:]:  # other sources reach v through parent(v)
+            pv, pp, w = pos[v], pos[parent[v]], self._len[up_edge[v]]
+            for cols in (slice(0, pv), slice(end[v], n)):
+                dist_to[pv, cols] = dist_to[pp, cols] + w
+                first[pv, cols] = up_edge[v]
+        grid = np.ix_(pos, pos)
+        return np.ascontiguousarray(dist_to.T[grid]), first[grid]
 
     def _node_point(self, node: int) -> TreePoint:
-        e = self._canon_edge[node]
+        e = int(self._canon_edge[node])
         return TreePoint(e, 0.0 if self._tail[e] == node else float(self._len[e]))
 
     def point_on_edge(self, edge: int, offset: float) -> TreePoint:
@@ -643,17 +667,16 @@ class TreeSpace(BicombedSpace):
     # -- metric and segment map ----------------------------------------------
 
     def _route_terms(self, x: TreePoint, y: TreePoint) -> tuple[float, ...]:
-        xt, xh = int(self._tail[x.edge]), int(self._head[x.edge])
-        yt, yh = int(self._tail[y.edge]), int(self._head[y.edge])
+        xt, xh = self._tail[x.edge], self._head[x.edge]
+        yt, yh = self._tail[y.edge], self._head[y.edge]
         a, ra = x.offset, float(self._len[x.edge]) - x.offset
         b, rb = y.offset, float(self._len[y.edge]) - y.offset
-        rt = self.node_row(xt)
-        rh = self.node_row(xh)
+        D = self._dist
         return (
-            a + rt[yt] + b,
-            a + rt[yh] + rb,
-            ra + rh[yt] + b,
-            ra + rh[yh] + rb,
+            a + D[xt, yt] + b,
+            a + D[xt, yh] + rb,
+            ra + D[xh, yt] + b,
+            ra + D[xh, yh] + rb,
         )
 
     def _distance(self, x: TreePoint, y: TreePoint) -> float:
@@ -661,36 +684,13 @@ class TreeSpace(BicombedSpace):
             return abs(x.offset - y.offset)
         return float(min(self._route_terms(x, y)))
 
-    def _node_path(self, a: int, b: int) -> list[tuple[int, int, float]]:
-        """Edges (edge_idx, entered_from_node, length) along the unique a->b path."""
-        if a == b:
-            return []
-        parent: dict[int, tuple[int, int, float]] = {}
-        seen = {a}
-        q = deque([a])
-        while q:
-            cur = q.popleft()
-            if cur == b:
-                break
-            for ei, nxt, w in self._adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (cur, ei, w)
-                    q.append(nxt)
-        path = []
-        cur = b
-        while cur != a:
-            prev, ei, w = parent[cur]
-            path.append((ei, prev, w))
-            cur = prev
-        path.reverse()
-        return path
-
     def _bicombing(self, x: TreePoint, y: TreePoint, t: float) -> TreePoint:
         if x == y:
             return x
         if x.edge == y.edge:
-            return self.point_on_edge(x.edge, x.offset + t * (y.offset - x.offset))
+            # clamped: x + t * (y - x) can round past the edge end at t = 1
+            s = x.offset + t * (y.offset - x.offset)
+            return self.point_on_edge(x.edge, min(max(s, 0.0), float(self._len[x.edge])))
         routes = self._route_terms(x, y)
         k = min(range(4), key=routes.__getitem__)
         d = routes[k]
@@ -700,28 +700,23 @@ class TreeSpace(BicombedSpace):
         if s <= leg:
             return self.point_on_edge(x.edge, x.offset - s if exit_is_tail else x.offset + s)
         s -= leg
-        exit_node = int(self._tail[x.edge]) if exit_is_tail else int(self._head[x.edge])
+        node = int(self._tail[x.edge]) if exit_is_tail else int(self._head[x.edge])
         entry_is_tail = k % 2 == 0
         entry_node = int(self._tail[y.edge]) if entry_is_tail else int(self._head[y.edge])
-        for ei, from_node, w in self._node_path(exit_node, entry_node):
+        while node != entry_node:
+            ei = int(self._next_edge[node, entry_node])
+            w = self._len[ei]
             if s <= w:
-                off = s if self._tail[ei] == from_node else w - s
-                return self.point_on_edge(ei, off)
+                return self.point_on_edge(ei, s if self._tail[ei] == node else w - s)
             s -= w
+            node = int(self._tail[ei] + self._head[ei]) - node
         final_leg = y.offset if entry_is_tail else float(self._len[y.edge]) - y.offset
         s = min(s, final_leg)
         return self.point_on_edge(y.edge, s if entry_is_tail else float(self._len[y.edge]) - s)
 
     # -- batch hooks -----------------------------------------------------------
 
-    def _all_node_dists(self) -> np.ndarray:
-        for i in range(len(self.nodes)):
-            self.node_row(i)
-        return np.vstack([self._node_rows[i] for i in range(len(self.nodes))])
-
-    def pack(self, pts: Sequence[Point]) -> dict:
-        edge = np.array([p.edge for p in pts], dtype=np.int64)
-        off = np.array([p.offset for p in pts], dtype=np.float64)
+    def _pack_arrays(self, edge: np.ndarray, off: np.ndarray) -> dict:
         return {
             "edge": edge,
             "off": off,
@@ -730,6 +725,12 @@ class TreeSpace(BicombedSpace):
             "to_tail": off,
             "to_head": self._len[edge] - off,
         }
+
+    def pack(self, pts: Sequence[Point]) -> dict:
+        return self._pack_arrays(
+            np.array([p.edge for p in pts], dtype=np.int64),
+            np.array([p.offset for p in pts], dtype=np.float64),
+        )
 
     def packed_len(self, packed) -> int:
         return len(packed["edge"])
@@ -746,57 +747,119 @@ class TreeSpace(BicombedSpace):
             TreePoint(int(e), float(o)) for e, o in zip(packed["edge"], packed["off"])
         ]
 
+    def _canonical(self, edge: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`point_on_edge` over arrays: the first offset outside [0, length]
+        raises, and node locations move to their canonical edge."""
+        length = self._len[edge]
+        bad = ~((off >= 0.0) & (off <= length))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidInputError(
+                f"offset {float(off[i])} outside [0, {float(length[i])}] on edge {int(edge[i])}"
+            )
+        node = np.where(off == 0.0, self._tail[edge], np.where(off == length, self._head[edge], -1))
+        at = node >= 0
+        if at.any():
+            edge, off, node = edge.copy(), off.copy(), node[at]
+            edge[at] = self._canon_edge[node]
+            off[at] = np.where(self._tail[edge[at]] == node, 0.0, self._len[edge[at]])
+        return edge, off
+
     def _dist_block(self, A: dict, B: dict) -> np.ndarray:
-        Dn = self._all_node_dists()
-        d = np.minimum.reduce(
-            [
-                A["to_tail"][:, None] + Dn[A["tail"]][:, B["tail"]] + B["to_tail"][None, :],
-                A["to_tail"][:, None] + Dn[A["tail"]][:, B["head"]] + B["to_head"][None, :],
-                A["to_head"][:, None] + Dn[A["head"]][:, B["tail"]] + B["to_tail"][None, :],
-                A["to_head"][:, None] + Dn[A["head"]][:, B["head"]] + B["to_head"][None, :],
-            ]
-        )
-        same = A["edge"][:, None] == B["edge"][None, :]
+        """Each route term is (offset + node distance) + offset, the sums
+        `_distance` forms; node distances come from the flattened table."""
+        table, n = self._dist.ravel(), len(self._dist)
+        d = None
+        for a, u, v, b in _ROUTE_ENDS:
+            term = table.take(A[u][:, None] * n + B[v])
+            np.add(A[a][:, None], term, out=term)
+            term += B[b]
+            d = term if d is None else np.minimum(d, term, out=d)
+        same = A["edge"][:, None] == B["edge"]
         if same.any():
-            direct = np.abs(A["off"][:, None] - B["off"][None, :])
-            d = np.where(same, direct, d)
+            r, c = np.nonzero(same)
+            d[r, c] = np.abs(A["off"][r] - B["off"][c])
         return d
 
     def segment_batch(self, packed, I, J, ts):
-        pts = self.points_from_packed(packed)
-        out = []
-        for i, j in zip(I, J):
-            x, y = pts[int(i)], pts[int(j)]
-            for t in ts:
-                out.append(self._bicombing(x, y, float(t)))
-        return self.pack(out)
+        """`_bicombing` for every sample at once, with the same arithmetic:
+        the route is the first minimal route term, and samples past their
+        first leg walk their node paths in lockstep, one edge per step, each
+        subtracting its edge lengths in path order."""
+        ts = np.asarray(ts, dtype=np.float64)
+        X = self.packed_take(packed, np.repeat(np.asarray(I, dtype=np.int64), len(ts)))
+        Y = self.packed_take(packed, np.repeat(np.asarray(J, dtype=np.int64), len(ts)))
+        t = np.tile(ts, len(I))
+        edge, off = X["edge"].copy(), X["off"].copy()  # x == y keeps x as it is
+        moving = np.nonzero((X["edge"] != Y["edge"]) | (X["off"] != Y["off"]))[0]
+        same = moving[X["edge"][moving] == Y["edge"][moving]]
+        off[same] = np.clip(X["off"][same] + t[same] * (Y["off"][same] - X["off"][same]),
+                            0.0, self._len[X["edge"][same]])
 
-    def chord_dists(self, packed, I, J, ts, targets, D_IT=None, D_JT=None, L=None):
+        far = moving[X["edge"][moving] != Y["edge"][moving]]
+        x, y = self.packed_take(X, far), self.packed_take(Y, far)
+        routes = self._routes(x, y)
+        k = routes.argmin(axis=0)
+        s = t[far] * routes[k, np.arange(len(far))]
+        exit_is_tail = k < 2
+        leg = np.where(exit_is_tail, x["to_tail"], x["to_head"])
+        near = s <= leg
+        off[far[near]] = np.where(exit_is_tail, x["off"] - s, x["off"] + s)[near]
+
+        walk = ~near
+        idx, s = far[walk], (s - leg)[walk]
+        node = np.where(exit_is_tail, x["tail"], x["head"])[walk]
+        entry_is_tail = k % 2 == 0
+        entry = np.where(entry_is_tail, y["tail"], y["head"])[walk]
+        final_leg = np.where(entry_is_tail, y["to_tail"], y["to_head"])[walk]
+        entry_is_tail = entry_is_tail[walk]
+        while len(idx):
+            arrived = node == entry
+            if arrived.any():
+                a = idx[arrived]
+                last = np.minimum(s[arrived], final_leg[arrived])
+                edge[a] = Y["edge"][a]
+                off[a] = np.where(entry_is_tail[arrived], last, self._len[edge[a]] - last)
+                on = ~arrived
+                idx, s, node, entry, entry_is_tail, final_leg = (
+                    v[on] for v in (idx, s, node, entry, entry_is_tail, final_leg)
+                )
+            e = self._next_edge[node, entry]
+            w = self._len[e]
+            hit = s <= w
+            edge[idx[hit]] = e[hit]
+            off[idx[hit]] = np.where(self._tail[e] == node, s, w - s)[hit]
+            on = ~hit
+            node = self._tail[e] + self._head[e] - node
+            idx, s, node, entry, entry_is_tail, final_leg = (
+                v[on] for v in (idx, s - w, node, entry, entry_is_tail, final_leg)
+            )
+
+        edge[moving], off[moving] = self._canonical(edge[moving], off[moving])
+        return self._pack_arrays(edge, off)
+
+    def chord_dists(self, packed, I, J, ts, targets):
         """Tree chords answer from distances alone: along the x->y geodesic the
         distance to p is |s - s*| + d*, with s* and d* given by the Gromov
         products of the endpoint distances."""
-        if D_IT is None or D_JT is None or L is None:
-            sub = self.packed_take(packed, np.asarray(I, dtype=np.int64))
-            subj = self.packed_take(packed, np.asarray(J, dtype=np.int64))
-            D_IT = self.dist_matrix(sub, targets)
-            D_JT = self.dist_matrix(subj, targets)
-            L = self.paired_dist(sub, subj)
+        sub = self.packed_take(packed, np.asarray(I, dtype=np.int64))
+        subj = self.packed_take(packed, np.asarray(J, dtype=np.int64))
+        D_IT = self.dist_matrix(sub, targets)
+        D_JT = self.dist_matrix(subj, targets)
+        L = self.paired_dist(sub, subj)
         ts = np.asarray(ts, dtype=np.float64)
         s_star = 0.5 * (D_IT - D_JT + L[:, None])  # (P, T)
         d_star = 0.5 * (D_IT + D_JT - L[:, None])
         s = ts[None, :, None] * L[:, None, None]  # (P, g, 1)
         return np.abs(s - s_star[:, None, :]) + d_star[:, None, :]
 
+    def _routes(self, A, B) -> np.ndarray:
+        """Rowwise route terms, in `_route_terms` order: shape (4, len(A))."""
+        D = self._dist
+        return np.stack([A[a] + D[A[u], B[v]] + B[b] for a, u, v, b in _ROUTE_ENDS])
+
     def paired_dist(self, A, B) -> np.ndarray:
-        Dn = self._all_node_dists()
-        d = np.minimum.reduce(
-            [
-                A["to_tail"] + Dn[A["tail"], B["tail"]] + B["to_tail"],
-                A["to_tail"] + Dn[A["tail"], B["head"]] + B["to_head"],
-                A["to_head"] + Dn[A["head"], B["tail"]] + B["to_tail"],
-                A["to_head"] + Dn[A["head"], B["head"]] + B["to_head"],
-            ]
-        )
+        d = self._routes(A, B).min(axis=0)
         same = A["edge"] == B["edge"]
         if same.any():
             d = np.where(same, np.abs(A["off"] - B["off"]), d)
@@ -920,10 +983,10 @@ class ProductSpace(BicombedSpace):
             return _ProductJointIndex(np.hstack([packed[0], packed[1]]))
         return super().make_index(packed)
 
-    def min_dist(self, A, B, block_entries: int = 4_000_000) -> np.ndarray:
+    def min_dist(self, A, B) -> np.ndarray:
         if self._joint_lp2:
             return _ProductJointIndex(np.hstack([B[0], B[1]])).min_dist(A)
-        return super().min_dist(A, B, block_entries)
+        return super().min_dist(A, B)
 
     def segment_batch(self, packed, I, J, ts):
         return (

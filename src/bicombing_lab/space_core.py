@@ -22,6 +22,11 @@ class InvalidInputError(ValueError):
     """Raised when an operation receives arguments outside its contract."""
 
 
+#: entry budget of one dense distance block: row-blocked kernels size their
+#: blocks so that a block of rows x columns stays within it (2 MB of floats)
+BLOCK_ENTRIES = 1 << 18
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
@@ -167,12 +172,12 @@ class BicombedSpace:
                 out[i, j] = self._distance(x, y)
         return out
 
-    def dist_matrix(self, A, B, block_entries: int = 4_000_000) -> np.ndarray:
+    def dist_matrix(self, A, B) -> np.ndarray:
         """Pairwise distance matrix between two packed sets, built in row blocks."""
         na, nb = self.packed_len(A), self.packed_len(B)
         if na == 0 or nb == 0:
             return np.zeros((na, nb))
-        rows = max(1, block_entries // max(nb, 1))
+        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
         if rows >= na:
             return self._dist_block(A, B)
         out = np.empty((na, nb))
@@ -181,10 +186,10 @@ class BicombedSpace:
             out[lo:hi] = self._dist_block(self.packed_take(A, np.arange(lo, hi)), B)
         return out
 
-    def min_dist(self, A, B, block_entries: int = 4_000_000) -> np.ndarray:
+    def min_dist(self, A, B) -> np.ndarray:
         """Per-row minimum distance from packed set A into packed set B."""
         na, nb = self.packed_len(A), self.packed_len(B)
-        rows = max(1, block_entries // max(nb, 1))
+        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
         out = np.empty(na)
         for lo in range(0, na, rows):
             hi = min(lo + rows, na)
@@ -219,21 +224,9 @@ class BicombedSpace:
         return self.pack(out)
 
     def chord_dists(
-        self,
-        packed,
-        I: np.ndarray,
-        J: np.ndarray,
-        ts: np.ndarray,
-        targets,
-        D_IT: np.ndarray | None = None,
-        D_JT: np.ndarray | None = None,
-        L: np.ndarray | None = None,
+        self, packed, I: np.ndarray, J: np.ndarray, ts: np.ndarray, targets
     ) -> np.ndarray:
-        """Distances from segment samples to target points: shape (len(I), len(ts), nT).
-
-        The optional D_IT/D_JT/L arrays (endpoint-to-target and pair distances)
-        let metric-tree spaces answer from distance data alone.
-        """
+        """Distances from segment samples to target points: shape (len(I), len(ts), nT)."""
         S = self.segment_batch(packed, I, J, ts)
         M = self.dist_matrix(S, targets)
         return M.reshape(len(I), len(ts), self.packed_len(targets))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from bicombing_lab import (
@@ -49,6 +50,21 @@ def path_tree():
     return make_metric_tree(
         MetricTreeSpec(("a", "b", "c"), (("a", "b", 1.0), ("b", "c", 2.0)))
     )
+
+
+@pytest.fixture(scope="session")
+def random_tree():
+    """Seeded random recursive tree on 1000 nodes: node i hangs off a uniformly
+    drawn earlier node by an edge of non-dyadic length (a uniform draw over 3),
+    stored head-first about half the time."""
+    rng = np.random.default_rng(1000)
+    names = [f"v{i}" for i in range(1000)]
+    edges = []
+    for i in range(1, len(names)):
+        parent = names[int(rng.integers(0, i))]
+        w = float(rng.uniform(0.1, 1.0)) / 3.0
+        edges.append((parent, names[i], w) if rng.random() < 0.5 else (names[i], parent, w))
+    return make_metric_tree(MetricTreeSpec(tuple(names), tuple(edges)))
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bicombing_lab import PointNet, TreePoint, evaluate_bicombing
+from bicombing_lab import PointNet, TreePoint
 
 
 def int_grid_extremal(coords: np.ndarray, unit: int, h_num: int, h_den: int,
@@ -106,12 +106,85 @@ def brute_extremal_hyperbolic(coords: np.ndarray, h: float, delta: float,
     return out
 
 
+def tree_path(space, x: TreePoint, y: TreePoint) -> list[tuple[int, float, float]]:
+    """Pieces (edge, offset at start, offset at end) of the path from x to y.
+
+    Built from ``space.edges`` alone: x and y split their edges into two
+    pieces each, and a breadth-first search over the resulting tree finds the
+    unique path between them.
+    """
+    if x.edge == y.edge:
+        return [(x.edge, x.offset, y.offset)]
+    start, goal = object(), object()  # cannot clash with node names
+    adj: dict = {}
+
+    def link(u, v, edge, off_u, off_v):
+        adj.setdefault(u, []).append((v, edge, off_u, off_v))
+        adj.setdefault(v, []).append((u, edge, off_v, off_u))
+
+    for e, (u, v, w) in enumerate(space.edges):
+        if e == x.edge or e == y.edge:
+            end = start if e == x.edge else goal
+            off = x.offset if e == x.edge else y.offset
+            link(u, end, e, 0.0, off)
+            link(end, v, e, off, w)
+        else:
+            link(u, v, e, 0.0, w)
+    came = {start: None}
+    queue = [start]
+    for cur in queue:
+        for nxt, edge, off_a, off_b in adj[cur]:
+            if nxt not in came:
+                came[nxt] = (cur, edge, off_a, off_b)
+                queue.append(nxt)
+    pieces = []
+    cur = goal
+    while came[cur] is not None:
+        prev, edge, off_a, off_b = came[cur]
+        pieces.append((edge, off_a, off_b))
+        cur = prev
+    return pieces[::-1]
+
+
+def tree_distance(space, x: TreePoint, y: TreePoint) -> float:
+    """Length of the path from x to y, summed piece by piece."""
+    return sum(abs(b - a) for _, a, b in tree_path(space, x, y))
+
+
+def tree_walk(space, x: TreePoint, y: TreePoint, ts) -> list[TreePoint]:
+    """Points at fractions ts of the way from x to y, found by walking the
+    path piece by piece; node locations are put on their smallest incident
+    edge, the library's canonical form."""
+    pieces = tree_path(space, x, y)
+    total = sum(abs(b - a) for _, a, b in pieces)
+    out = []
+    for t in ts:
+        s = t * total
+        for edge, a, b in pieces:
+            if s <= abs(b - a):
+                break
+            s -= abs(b - a)
+        off = min(max(a + s if b >= a else a - s, min(a, b)), max(a, b))
+        out.append(_tree_canonical(space, edge, off))
+    return out
+
+
+def _tree_canonical(space, edge: int, off: float) -> TreePoint:
+    u, v, w = space.edges[edge]
+    if off not in (0.0, w):
+        return TreePoint(edge, off)
+    node = u if off == 0.0 else v
+    e = min(i for i, (a, b, _) in enumerate(space.edges) if node in (a, b))
+    return TreePoint(e, 0.0 if space.edges[e][0] == node else space.edges[e][2])
+
+
 def brute_extremal_tree(space, C: PointNet, h: float, delta: float,
                         t_grid: int) -> list[TreePoint]:
     """Walk-based brute-force extremal scan on a tree net.
 
-    Chord samples are materialized through the public segment evaluator (path
-    walks), not the distance-profile shortcut the library uses internally.
+    Chord samples are materialized by this module's own path walk
+    (``tree_walk``), not by the library's segment map or the
+    distance-profile shortcut it uses internally.
     """
     pts = list(C.points)
     m = len(pts)
@@ -119,8 +192,7 @@ def brute_extremal_tree(space, C: PointNet, h: float, delta: float,
     pairs = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
     samples = []
     for i, j in pairs:
-        for t in ts:
-            samples.append(evaluate_bicombing(space, pts[i], pts[j], t))
+        samples.extend(tree_walk(space, pts[i], pts[j], ts))
     S = space.pack(samples)
     SD = space.dist_matrix(S, C.packed)  # (pairs*g, m)
     D = space.dist_matrix(C.packed, C.packed)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bicombing_lab import (
     InvalidInputError,
     MetricTreeSpec,
     NormedSpaceSpec,
+    PointNet,
     ProductPoint,
     ProductSpaceSpec,
     TreePoint,
@@ -19,8 +22,9 @@ from bicombing_lab import (
     distance,
     euclidean,
     evaluate_bicombing,
-    hyperboloid,
+    hull_closure,
     hyperbolic_point_at,
+    hyperboloid,
     lorentz_boost,
     make_hyperbolic_plane,
     make_lp_space,
@@ -201,6 +205,125 @@ def test_tree_dist_matrix_matches_scalar(star3):
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
             assert D[i, j] == pytest.approx(distance(star3, x, y), abs=1e-14)
+
+
+def _tree_points(tree, m: int, seed: int) -> list[TreePoint]:
+    """m seeded points, a fifth of them at nodes (offset 0 or the edge length)."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(m):
+        e = int(rng.integers(0, len(tree.edges)))
+        length = tree.edges[e][2]
+        r = rng.random()
+        off = 0.0 if r < 0.1 else length if r < 0.2 else float(rng.uniform(0.0, length))
+        pts.append(tree.point_on_edge(e, off))
+    return pts
+
+
+@pytest.fixture(params=["star", "random"])
+def tree_case(request, random_tree):
+    return star_tree(3) if request.param == "star" else random_tree
+
+
+def test_tree_node_table_matches_breadth_first_sums(random_tree):
+    # every entry is the sum a breadth-first walk from the source forms, one
+    # edge at a time, bit for bit
+    adj = {}
+    for u, v, w in random_tree.edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    index = {name: i for i, name in enumerate(random_tree.nodes)}
+    for source in random_tree.nodes[::50]:
+        row = {source: 0.0}
+        queue = deque([source])
+        while queue:
+            cur = queue.popleft()
+            for nxt, w in adj[cur]:
+                if nxt not in row:
+                    row[nxt] = row[cur] + w
+                    queue.append(nxt)
+        want = np.array([row[name] for name in random_tree.nodes])
+        assert np.array_equal(random_tree._dist[index[source]], want)
+
+
+def test_tree_distance_matches_path_oracle(tree_case):
+    pts = _tree_points(tree_case, 60, seed=11)
+    for x, y in zip(pts[:-1], pts[1:]):
+        assert abs(distance(tree_case, x, y) - oracles.tree_distance(tree_case, x, y)) <= 1e-12
+
+
+def test_tree_segment_batch_matches_scalar_and_walk(tree_case):
+    pts = _tree_points(tree_case, 120, seed=12)
+    rng = np.random.default_rng(13)
+    I = rng.integers(0, len(pts), 400)
+    J = rng.integers(0, len(pts), 400)
+    J[:10] = I[:10]  # degenerate segments
+    same_edge = [(i, j) for i in range(len(pts)) for j in range(len(pts))
+                 if i != j and pts[i].edge == pts[j].edge][:10]
+    I = np.concatenate([I, [i for i, _ in same_edge]])
+    J = np.concatenate([J, [j for _, j in same_edge]])
+    ts = np.array([k / 9 for k in range(9)])
+    S = tree_case.segment_batch(tree_case.pack(pts), I, J, ts)
+    got = tree_case.points_from_packed(S)
+    want = [tree_case._bicombing(pts[i], pts[j], float(t)) for i, j in zip(I, J) for t in ts]
+    assert got == want
+    # at t = 1 the walk ends on y's edge, where the last leg is clamped
+    apart = [(i, j) for i, j in zip(I, J) if pts[i].edge != pts[j].edge]
+    ends = tree_case.segment_batch(tree_case.pack(pts), [i for i, _ in apart],
+                                   [j for _, j in apart], np.array([1.0]))
+    assert tree_case.points_from_packed(ends) == [tree_case._bicombing(pts[i], pts[j], 1.0)
+                                                  for i, j in apart]
+    for k, (i, j) in enumerate(zip(I[:150], J[:150])):
+        walked = oracles.tree_walk(tree_case, pts[i], pts[j], ts)
+        for g, w in zip(got[k * len(ts):(k + 1) * len(ts)], walked):
+            assert oracles.tree_distance(tree_case, g, w) <= 1e-12
+
+
+def test_tree_same_edge_segment_ends_at_y():
+    # x + 1.0 * (y - x) rounds past the edge end here; both paths clamp it to y
+    tree = make_metric_tree(MetricTreeSpec(("c", "d"), (("c", "d", 0.45),)))
+    x, y = tree.point_on_edge(0, 0.022949999999999998), tree.node_point("d")
+    assert x.offset + 1.0 * (y.offset - x.offset) > 0.45
+    assert tree._bicombing(x, y, 1.0) == y
+    P = tree.pack([x, y])
+    out = tree.points_from_packed(
+        tree.segment_batch(P, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 1.0]))
+    )
+    assert out == [tree._bicombing(x, y, 0.5), y,
+                   tree._bicombing(y, x, 0.5), tree._bicombing(y, x, 1.0)]
+
+
+def test_tree_dist_matrix_and_min_dist_match_scalar(tree_case):
+    A = _tree_points(tree_case, 200, seed=14)
+    B = _tree_points(tree_case, 150, seed=15)
+    PA, PB = tree_case.pack(A), tree_case.pack(B)
+    want = np.array([[tree_case._distance(a, b) for b in B] for a in A])
+    assert np.array_equal(tree_case.dist_matrix(PA, PB), want)
+    assert np.array_equal(tree_case.min_dist(PA, PB), want.min(axis=1))
+    assert np.array_equal(tree_case.make_index(PB).min_dist(PA), want.min(axis=1))
+    assert np.array_equal(tree_case.paired_dist(PA, tree_case.pack(B + A[:50])),
+                          np.array([tree_case._distance(a, b) for a, b in zip(A, B + A[:50])]))
+
+
+def test_tree_space_state_unchanged_by_queries(tree_case):
+    # all tables are built at construction: queries leave every attribute as it was
+    before = copy.deepcopy(vars(tree_case))
+    pts = _tree_points(tree_case, 40, seed=16)
+    P = tree_case.pack(pts)
+    tree_case.dist_matrix(P, P)
+    tree_case.min_dist(P, P)
+    tree_case.segment_batch(P, np.arange(39), np.arange(1, 40), np.array([0.25, 0.5]))
+    tree_case.hull_dist(P, tree_case.packed_take(P, np.arange(5)))
+    distance(tree_case, pts[0], pts[1])
+    evaluate_bicombing(tree_case, pts[0], pts[1], 0.5)
+    hull_closure(tree_case, PointNet.build(tree_case, pts[:3], 0.2))
+    after = vars(tree_case)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(after[key], value), key
+        else:
+            assert after[key] == value, key
 
 
 # ---------------------------------------------------------------------------
