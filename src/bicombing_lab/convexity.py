@@ -12,12 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .space_core import (
-    BicombedSpace,
-    InvalidInputError,
-    Point,
-    canonical_key,
-)
+from .space_core import BicombedSpace, InvalidInputError, Point
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +41,15 @@ class PointNet:
         """
         if eps <= 0:
             raise InvalidInputError("net resolution eps must be positive")
-        pts = sorted(set(points), key=canonical_key)
+        pts = list(points)
         if not pts:
             raise InvalidInputError("a point net cannot be empty")
         for p in pts:
             space.validate_point(p)
-        kept: list[Point] = []
-        packed = None
-        for p in pts:
-            if packed is not None:
-                if float(space.dist_to_packed(p, packed).min()) < eps / 2:
-                    continue
-            kept.append(p)
-            packed = space.pack(kept)
-        return PointNet(space, tuple(kept), float(eps))
+        packed = space.pack(pts)
+        rows = canonical_rows(space, packed)
+        rows = rows[_greedy_separate(space, space.packed_take(packed, rows), eps)]
+        return PointNet(space, tuple(pts[i] for i in rows), float(eps))
 
     @staticmethod
     def _assemble(space: BicombedSpace, sorted_points: Sequence[Point], eps: float) -> "PointNet":
@@ -203,30 +193,45 @@ class HullResult:
     rounds: int
 
 
-def _greedy_separate(space: BicombedSpace, cands: list[Point], eps: float) -> list[Point]:
-    """Greedy eps/2-separated subset of canonically sorted candidates.
+def canonical_rows(space: BicombedSpace, packed) -> np.ndarray:
+    """Rows of a packed set in canonical point order, one row per distinct point.
 
-    Processes candidates in order, keeping each one that clears every earlier
-    keeper; batching only changes the arithmetic, not the outcome.
+    A stable lexsort on the space's sort columns orders rows as
+    ``sorted(..., key=canonical_key)`` orders points.  Of each run of equal
+    rows the first (earliest) one is kept, as ``set`` keeps the first of equal
+    points; -0.0 and 0.0 compare equal in both.
     """
-    accepted: list[Point] = []
-    acc_packed = None
-    chunk = 512
-    for lo in range(0, len(cands), chunk):
-        block = cands[lo : lo + chunk]
-        cp = space.pack(block)
-        ok = np.ones(len(block), dtype=bool)
-        if accepted:
-            ok &= space.min_dist(cp, acc_packed) >= eps / 2
-        Dcc = space.dist_matrix(cp, cp)
-        for i in range(len(block)):
+    cols = space.sort_columns(packed)
+    order = np.lexsort(cols[::-1])
+    ranked = np.stack([c[order] for c in cols])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    return order[first]
+
+
+def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
+    """Rows of the packed candidates that a greedy eps/2 separation keeps.
+
+    Candidates are taken in row order, and each is kept when it lies at least
+    eps/2 from every earlier keeper.  Rows go in chunks of 512: one min_dist
+    call tests a chunk against the keepers of earlier chunks, and the rows that
+    pass are decided in order from their own distance matrix.  A row already
+    killed can neither be kept nor kill a later row, so it is left out.
+    """
+    kept, n = [np.empty(0, dtype=np.int64)], space.packed_len(cands)
+    for lo in range(0, n, 512):
+        rows = np.arange(lo, min(lo + 512, n))
+        if lo:
+            acc = space.packed_take(cands, np.concatenate(kept))
+            rows = rows[space.min_dist(space.packed_take(cands, rows), acc) >= eps / 2]
+        alive = space.packed_take(cands, rows)
+        D = space.dist_matrix(alive, alive)
+        ok = np.ones(len(rows), dtype=bool)
+        for i in range(len(rows)):
             if ok[i]:
-                ok[i + 1 :] &= Dcc[i + 1 :, i] >= eps / 2
-        fresh = [c for c, o in zip(block, ok) if o]
-        if fresh:
-            accepted.extend(fresh)
-            acc_packed = space.pack(accepted)
-    return accepted
+                ok[i + 1 :] &= D[i + 1 :, i] >= eps / 2
+        kept.append(rows[ok])
+    return np.concatenate(kept)
 
 
 def _pair_blocks(n_old: int, n_total: int, first_round: bool, block_pairs: int):
@@ -267,10 +272,12 @@ def hull_closure(
     containing the seed.
 
     Each round samples every segment between current net points at
-    segment_samples+1 parameters and inserts samples at least eps/2 away from
-    the net; candidates are merged in canonical order so the result is
-    reproducible regardless of scan order.  Stops at the first round that
-    inserts nothing, or returns converged=False when max_rounds is exhausted.
+    segment_samples+1 parameters.  Samples at least eps/2 from the net stay
+    packed rows; joined once per round, they pass in canonical order
+    (``canonical_rows``) through ``_greedy_separate``, and only the rows it
+    accepts become ``Point`` objects in the net, so the result does not depend
+    on scan order.  Stops at the first round that inserts nothing, or returns
+    converged=False when max_rounds is exhausted.
     """
     if seed.space is not space:
         raise InvalidInputError("seed net belongs to a different space")
@@ -281,44 +288,37 @@ def hull_closure(
 
     eps = seed.eps
     pts: list[Point] = list(seed.points)
+    packed = seed.packed
     # endpoint samples coincide with stored points and can never be inserted,
     # so only strictly interior parameters are queried
     ts = np.array([k / segment_samples for k in range(1, segment_samples)])
+    block_pairs = max(1, 400_000 // (segment_samples + 1))
     n_old = 0
 
+    def result(converged: bool, rounds: int) -> HullResult:
+        net = PointNet._assemble(space, [pts[i] for i in canonical_rows(space, packed)], eps)
+        return HullResult(net=net, converged=converged, rounds=rounds)
+
     for round_no in range(1, max_rounds + 1):
-        packed = space.pack(pts)
         index = space.make_index(packed)
         n_total = len(pts)
-        block_pairs = max(1, 400_000 // (segment_samples + 1))
-
-        survivors: list[Point] = []
+        survivors = []
         for I, J in _pair_blocks(n_old, n_total, round_no == 1, block_pairs):
             S = space.segment_batch(packed, I, J, ts)
-            dmin = index.min_dist(S)
-            keep = np.nonzero(dmin >= eps / 2)[0]
+            keep = np.nonzero(index.min_dist(S) >= eps / 2)[0]
             if len(keep):
-                survivors.extend(
-                    space.points_from_packed(space.packed_take(S, keep))
-                )
-
-        accepted = _greedy_separate(space, sorted(set(survivors), key=canonical_key), eps)
-
-        if not accepted:
-            return HullResult(
-                net=PointNet._assemble(space, sorted(pts, key=canonical_key), eps),
-                converged=True,
-                rounds=round_no,
-            )
-        n_old = n_total
-        pts.extend(accepted)
+                survivors.append(space.packed_take(S, keep))
+        if not survivors:
+            return result(True, round_no)
+        cands = space.packed_concat(survivors)
+        cands = space.packed_take(cands, canonical_rows(space, cands))
+        accepted = space.packed_take(cands, _greedy_separate(space, cands, eps))
         # keep insertion order: indices >= n_old are exactly this round's points
+        n_old = n_total
+        pts.extend(space.points_from_packed(accepted))
+        packed = space.packed_concat([packed, accepted])
 
-    return HullResult(
-        net=PointNet._assemble(space, sorted(pts, key=canonical_key), eps),
-        converged=False,
-        rounds=max_rounds,
-    )
+    return result(False, max_rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .convexity import ConvexFunctional, PointNet, dist_to_net
-from .space_core import BicombedSpace, InvalidInputError, Point, canonical_key
+from .convexity import ConvexFunctional, PointNet, _pair_blocks, dist_to_net
+from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,6 @@ class ExtremalScan:
         return PointNet._assemble(self.space, self.points, self.eps)
 
 
-def _pair_chunks(n: int, chunk: int):
-    """Index pairs (i, j) with i < j, yielded as constant-i array blocks."""
-    for i in range(n - 1):
-        js = np.arange(i + 1, n, dtype=np.int64)
-        for lo in range(0, len(js), chunk):
-            sl = js[lo : lo + chunk]
-            yield np.full(len(sl), i, dtype=np.int64), sl
-
-
 def extremal_points(
     space: BicombedSpace, C: PointNet, params: ExtremalParams
 ) -> ExtremalScan:
@@ -276,9 +267,10 @@ def is_extremal_set(
     m = len(C.points)
     ts_int = params.interior_ts()
     ts_full = np.concatenate([[0.0], ts_int, [1.0]])
-    n_full = len(ts_full)
-    chunk = max(1, 200_000 // n_full)
-    for I, J in _pair_chunks(m, chunk):
+    # a block's chord entries stay within a quarter of a distance block: lp and
+    # hyperbolic chords also hold sample coordinates and their differences to E
+    chunk = max(1, BLOCK_ENTRIES // 4 // (len(ts_full) * len(E)))
+    for I, J in _pair_blocks(0, m, True, chunk):
         dd = space.chord_dists(C.packed, I, J, ts_full, E.packed).min(axis=2)  # (P, g+2)
         out = dd > r_out
         out_before = np.cumsum(out, axis=1) > 0

@@ -213,7 +213,29 @@ class _ProductJointIndex:
         return np.atleast_1d(d)
 
 
-class LpSpace(BicombedSpace):
+class _CoordinateRows:
+    """Packing of coordinate points: one float row of `_width` entries each,
+    ordered canonically by their coordinate columns."""
+
+    _width: int
+
+    def pack(self, pts: Sequence[Point]) -> np.ndarray:
+        return np.array([p.coords for p in pts], dtype=np.float64).reshape(len(pts), self._width)
+
+    def packed_len(self, packed) -> int:
+        return packed.shape[0]
+
+    def packed_take(self, packed, rows):
+        return packed[np.atleast_1d(rows)]
+
+    def packed_concat(self, parts):
+        return np.concatenate(parts)
+
+    def sort_columns(self, packed) -> list[np.ndarray]:
+        return list(packed.T)
+
+
+class LpSpace(_CoordinateRows, BicombedSpace):
     """R^n with the l^p norm and the straight-line segment map.
 
     For p != 2 these are not convex metric spaces in the comparison-triangle
@@ -223,7 +245,7 @@ class LpSpace(BicombedSpace):
 
     def __init__(self, spec: NormedSpaceSpec):
         self.spec = spec
-        self.n = spec.dimension
+        self.n = self._width = spec.dimension
         self.p = spec.exponent
         pname = "inf" if math.isinf(self.p) else f"{self.p:g}"
         self.description = f"l{pname}(R^{self.n})"
@@ -253,20 +275,8 @@ class LpSpace(BicombedSpace):
 
     # batch hooks
 
-    def pack(self, pts: Sequence[Point]) -> np.ndarray:
-        return np.array([p.coords for p in pts], dtype=np.float64).reshape(len(pts), self.n)
-
-    def packed_len(self, packed) -> int:
-        return packed.shape[0]
-
-    def packed_take(self, packed, rows):
-        return packed[np.atleast_1d(rows)]
-
-    def packed_concat(self, a, b):
-        return np.vstack([a, b])
-
     def points_from_packed(self, packed) -> list[Point]:
-        return [EuclideanPoint(tuple(float(v) for v in row)) for row in packed]
+        return [EuclideanPoint(tuple(row)) for row in packed.tolist()]
 
     def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         diff = A[:, None, :] - B[None, :, :]
@@ -329,7 +339,7 @@ def _mink(x: Sequence[float], y: Sequence[float]) -> float:
     return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-class HyperbolicPlane(BicombedSpace):
+class HyperbolicPlane(_CoordinateRows, BicombedSpace):
     """Hyperbolic plane realized on the unit hyperboloid in Minkowski 3-space.
 
     Distances use the chord form d = 2*asinh(|x - y|_M / 2), which agrees with
@@ -340,6 +350,7 @@ class HyperbolicPlane(BicombedSpace):
 
     base_tol = 1e-7
     description = "hyperbolic plane (hyperboloid model)"
+    _width = 3
 
     _INVARIANT_TOL = 1e-9
 
@@ -375,20 +386,8 @@ class HyperbolicPlane(BicombedSpace):
 
     # batch hooks
 
-    def pack(self, pts: Sequence[Point]) -> np.ndarray:
-        return np.array([p.coords for p in pts], dtype=np.float64).reshape(len(pts), 3)
-
-    def packed_len(self, packed) -> int:
-        return packed.shape[0]
-
-    def packed_take(self, packed, rows):
-        return packed[np.atleast_1d(rows)]
-
-    def packed_concat(self, a, b):
-        return np.vstack([a, b])
-
     def points_from_packed(self, packed) -> list[Point]:
-        return [HyperboloidPoint((float(r[0]), float(r[1]), float(r[2]))) for r in packed]
+        return [HyperboloidPoint(tuple(row)) for row in packed.tolist()]
 
     def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # Gram form of the Minkowski chord: <a-b, a-b>_M = -2 - 2<a,b>_M for
@@ -739,13 +738,14 @@ class TreeSpace(BicombedSpace):
         rows = np.atleast_1d(rows)
         return {k: v[rows] for k, v in packed.items()}
 
-    def packed_concat(self, a, b):
-        return {k: np.concatenate([a[k], b[k]]) for k in a}
+    def packed_concat(self, parts):
+        return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+
+    def sort_columns(self, packed) -> list[np.ndarray]:
+        return [packed["edge"], packed["off"]]
 
     def points_from_packed(self, packed) -> list[Point]:
-        return [
-            TreePoint(int(e), float(o)) for e, o in zip(packed["edge"], packed["off"])
-        ]
+        return [TreePoint(e, o) for e, o in zip(packed["edge"].tolist(), packed["off"].tolist())]
 
     def _canonical(self, edge: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`point_on_edge` over arrays: the first offset outside [0, length]
@@ -962,11 +962,12 @@ class ProductSpace(BicombedSpace):
     def packed_take(self, packed, rows):
         return (self.left.packed_take(packed[0], rows), self.right.packed_take(packed[1], rows))
 
-    def packed_concat(self, a, b):
-        return (
-            self.left.packed_concat(a[0], b[0]),
-            self.right.packed_concat(a[1], b[1]),
-        )
+    def packed_concat(self, parts):
+        return (self.left.packed_concat([part[0] for part in parts]),
+                self.right.packed_concat([part[1] for part in parts]))
+
+    def sort_columns(self, packed) -> list[np.ndarray]:
+        return self.left.sort_columns(packed[0]) + self.right.sort_columns(packed[1])
 
     def points_from_packed(self, packed) -> list[Point]:
         ls = self.left.points_from_packed(packed[0])

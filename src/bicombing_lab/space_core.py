@@ -157,8 +157,15 @@ class BicombedSpace:
     def packed_take(self, packed, rows):
         return [packed[int(i)] for i in np.atleast_1d(rows)]
 
-    def packed_concat(self, a, b):
-        return list(a) + list(b)
+    def packed_concat(self, parts):
+        return [p for part in parts for p in part]
+
+    def sort_columns(self, packed) -> list[np.ndarray]:
+        """Columns, most significant first, whose lexicographic row order is
+        the canonical point order; rows are equal exactly when points are."""
+        keys = [canonical_key(p) for p in packed]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [np.array([rank[k] for k in keys])]
 
     def points_from_packed(self, packed) -> list[Point]:
         return list(packed)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bicombing_lab import PointNet, TreePoint
+from bicombing_lab import PointNet, TreePoint, canonical_key
 
 
 def int_grid_extremal(coords: np.ndarray, unit: int, h_num: int, h_den: int,
@@ -306,3 +306,26 @@ def euclidean_hull_dist_subsets(x, P, tol: float = 1e-12) -> float:
             if (mu >= -tol).all() and mu.sum() <= 1 + tol:
                 best = min(best, float(np.linalg.norm(x - V[0] - E @ mu)))
     return best
+
+
+def canonical_dedup(points) -> list:
+    """Distinct points in canonical order, each represented by its first
+    occurrence: the Python-object definition that packed sorting must match."""
+    return sorted(set(points), key=canonical_key)
+
+
+def greedy_separation(space, points, eps: float) -> list:
+    """Greedy eps/2 separation one point at a time, in the given order.
+
+    A point is kept when ``space.dist_matrix`` puts it at least eps/2 from
+    every point kept before it; no chunking, no nearest-distance index.
+    """
+    P = space.pack(points)
+    kept: list[int] = []
+    for i in range(len(points)):
+        if kept:
+            D = space.dist_matrix(space.packed_take(P, [i]), space.packed_take(P, kept))
+            if D.min() < eps / 2:
+                continue
+        kept.append(i)
+    return [points[i] for i in kept]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bicombing_lab import (
+    BicombedSpace,
     ConvexFunctional,
     InvalidInputError,
     MetricTreeSpec,
@@ -19,6 +20,7 @@ from bicombing_lab import (
     PointNet,
     ProductPoint,
     ProductSpaceSpec,
+    TreePoint,
     canonical_key,
     check_convex_functional,
     directed_excess,
@@ -28,6 +30,7 @@ from bicombing_lab import (
     hausdorff,
     hull_closure,
     hyperbolic_point_at,
+    hyperboloid,
     is_convex_net,
     make_hyperbolic_plane,
     make_lp_space,
@@ -35,6 +38,7 @@ from bicombing_lab import (
     make_product,
     star_tree,
 )
+from bicombing_lab.convexity import _greedy_separate, canonical_rows
 
 coord = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
 
@@ -397,6 +401,147 @@ def test_dist_to_hull_unsupported_spaces_raise(star3, path_tree):
     for space, point in unsupported:
         with pytest.raises(InvalidInputError, match=re.escape(space.description)):
             _hull_values(space, [point], [point])
+
+
+# ---------------------------------------------------------------------------
+# packed canonical order and greedy separation, refereed by the one-point
+# oracles in oracles.py
+# ---------------------------------------------------------------------------
+
+
+class _ScalarPlane(BicombedSpace):
+    """The Euclidean plane through the scalar contract alone, so packing, sort
+    columns and distances take the base class's generic list-based hooks."""
+
+    description = "plane through scalar hooks"
+
+    def __init__(self):
+        self._base = make_lp_space(NormedSpaceSpec(2, 2.0))
+
+    def validate_point(self, p):
+        self._base.validate_point(p)
+
+    def _distance(self, x, y):
+        return self._base._distance(x, y)
+
+    def _bicombing(self, x, y, t):
+        return self._base._bicombing(x, y, t)
+
+
+@pytest.fixture(scope="module")
+def scalar_plane():
+    return _ScalarPlane()
+
+
+def _duplicate_heavy_points(space_name, rng, count):
+    """Points drawn from a few values per coordinate, so most rows repeat and
+    -0.0 and 0.0 both occur (they are equal points)."""
+    zeros = (0.0, -0.0)
+    if space_name in ("plane", "scalar_plane"):
+        vals = zeros + (0.5, -0.5, 1.0)
+        return [euclidean(*rng.choice(vals, 2)) for _ in range(count)]
+    if space_name == "hplane":
+        dirs = ((1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 1.0), (-0.6, 0.8))
+        pts = []
+        for _ in range(count):
+            r, (c, s) = rng.choice([0.0, 0.4, 0.9]), dirs[rng.integers(len(dirs))]
+            pts.append(hyperboloid(math.cosh(r), math.sinh(r) * c, math.sinh(r) * s))
+        return pts
+    if space_name == "star3":  # offset 0 on edge 0 is the centre, on other edges not canonical
+        edges = rng.integers(3, size=count).tolist()
+        return [TreePoint(e, float(rng.choice((zeros if e == 0 else ()) + (0.25, 1.0))))
+                for e in edges]
+    vals = zeros + (0.5, 1.0)
+    return [ProductPoint(euclidean(rng.choice(vals)), euclidean(rng.choice(vals)))
+            for _ in range(count)]
+
+
+def _flip_zeros(p):
+    """The same point with the sign of every zero coordinate flipped."""
+    if isinstance(p, ProductPoint):
+        return ProductPoint(_flip_zeros(p.left), _flip_zeros(p.right))
+    if isinstance(p, TreePoint):
+        return TreePoint(p.edge, -p.offset if p.offset == 0 else p.offset)
+    return type(p)(tuple(-c if c == 0 else c for c in p.coords))
+
+
+@pytest.mark.parametrize("space_name",
+                         ["plane", "hplane", "star3", "product_space", "scalar_plane"])
+def test_canonical_rows_match_sorted_set(space_name, request):
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(41)
+    for count in (1, 2, 300):
+        pts = _duplicate_heavy_points(space_name, rng, count)
+        # the last copy of some point differs from its first copy in the sign
+        # of a zero, so keeping any copy but the first shows in the reprs
+        signed = [p for p in pts if repr(_flip_zeros(p)) != repr(p)]
+        pts += [_flip_zeros(p) for p in signed[:1]]
+        for p in pts:
+            space.validate_point(p)
+        packed = space.pack(pts)
+        got = space.points_from_packed(space.packed_take(packed, canonical_rows(space, packed)))
+        # repr tells -0.0 from 0.0, so the kept representative is checked too
+        assert [repr(p) for p in got] == [repr(p) for p in oracles.canonical_dedup(pts)]
+
+
+def test_canonical_rows_keep_first_signed_zero(plane):
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        pts = [euclidean(1, 1)] + [euclidean(first, 1), euclidean(second, 1)] * 20
+        got = plane.points_from_packed(plane.pack(pts)[canonical_rows(plane, plane.pack(pts))])
+        assert [math.copysign(1.0, p.coords[0]) for p in got] == [math.copysign(1.0, first), 1.0]
+
+
+def _random_points(space_name, rng, count):
+    if space_name in ("plane", "scalar_plane"):
+        return [euclidean(*rng.uniform(0, 1, 2)) for _ in range(count)]
+    if space_name == "hplane":
+        return [hyperbolic_point_at(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
+                for _ in range(count)]
+    if space_name == "star3":
+        return [TreePoint(int(rng.integers(3)), float(rng.uniform(0.01, 0.99)))
+                for _ in range(count)]
+    return [ProductPoint(euclidean(rng.uniform(0, 1)), euclidean(rng.uniform(0, 1)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("space_name, eps, count", [
+    ("plane", 0.1, 1300), ("hplane", 0.2, 1300), ("star3", 0.05, 1300),
+    ("product_space", 0.1, 1300), ("scalar_plane", 0.1, 600),
+])
+def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, request):
+    # more than 512 candidates span several chunks, so both the test against
+    # earlier chunks' keepers and the in-chunk decisions are exercised
+    space = request.getfixturevalue(space_name)
+    pts = oracles.canonical_dedup(_random_points(space_name, np.random.default_rng(43), count))
+    want = oracles.greedy_separation(space, pts, eps)
+    rows = _greedy_separate(space, space.pack(pts), eps)
+    assert [pts[i] for i in rows] == want
+    assert 1 < len(want) < len(pts)
+    rng = np.random.default_rng(44)
+    shuffled = [pts[i] for i in rng.permutation(len(pts))] + pts[:50]
+    assert PointNet.build(space, shuffled, eps).points == tuple(want)
+
+
+def test_hull_through_generic_hooks_matches_plane(plane, scalar_plane):
+    # dyadic seed and samples: distances are exact in both arithmetics
+    seed = [euclidean(0, 0), euclidean(1, 0), euclidean(0, 1)]
+    want = hull_closure(plane, PointNet.build(plane, seed, 0.25))
+    got = hull_closure(scalar_plane, PointNet.build(scalar_plane, seed, 0.25))
+    assert got.net.points == want.net.points and got.rounds == want.rounds > 1
+
+
+@pytest.mark.parametrize("step, kept", [(0.125, 33 * 33), (0.0625, 17 * 17)])
+def test_greedy_separation_keeps_exact_half_eps_gaps(plane, step, kept):
+    # dyadic 33 x 33 raster, so every axis gap is exact: at step 0.125 all
+    # gaps equal eps/2 and every point is kept; at 0.0625 every other point
+    # is killed and the survivors tie at exactly eps/2
+    eps = 0.25
+    pts = [euclidean(i * step, j * step) for i in range(33) for j in range(33)]
+    want = oracles.greedy_separation(plane, pts, eps)
+    assert len(want) == kept
+    rows = _greedy_separate(plane, plane.pack(pts), eps)
+    assert [pts[i] for i in rows] == want
+    assert PointNet.build(plane, pts[::-1], eps).points == tuple(want)
 
 
 # ---------------------------------------------------------------------------

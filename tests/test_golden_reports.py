@@ -1,0 +1,44 @@
+"""Byte identity of CLI reports on golden instances.
+
+Each case writes an instance with ``bicombing-lab gen``, runs one pipeline on
+it and compares the SHA-256 of the report with a digest recorded at commit
+4a5db54, before hull closure kept its samples as packed arrays.  A refactor
+that keeps the lab's arithmetic keeps every digest.  A change that moves a
+report must say which one and why, and record the new digest here.
+
+The digests pin floating-point rounding, and the numpy build and its BLAS
+take part in it (hyperbolic distances go through a BLAS matrix product).  They
+were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64
+Linux); under another numpy or BLAS a digest can move with no change to the
+lab, and is then re-recorded from the parent commit on that installation.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from bicombing_lab.cli import main
+
+GOLDEN = [
+    ("verify-km", ["hyp_triangle"],
+     "62f28283371254c33fe1a0f694069533202e3e074e8c33da83a865ee4d12cb69"),
+    ("verify-km", ["tree_leaves"],
+     "25de2decd90a31c2e0a11a1ca9a4540e7a51f4dae4a55b7b90add5ccc5c9d0e3"),
+    ("verify-km", ["disk"],
+     "905d50912d3b41476181a2d409b818c81ba5911588e2fa7ab212c2e581e60be1"),
+    ("hull", ["cube", "--step", "0.16666666666666666"],
+     "34cf8481f5d56fe8923cbe24dbfd6fe7581f3a52bbc91e2f36fa26cae3cacb87"),
+    ("hull", ["product_demo"],
+     "229cadbdbdbe700d5bfb7ef5193b5700d605afe28e9f404b9e5c4de977a74ff4"),
+]
+
+
+@pytest.mark.parametrize("command, gen_args, digest", GOLDEN,
+                         ids=[f"{c}-{g[0]}" for c, g, _ in GOLDEN])
+def test_report_digest(tmp_path, command, gen_args, digest):
+    inst, report = tmp_path / "instance.json", tmp_path / "report.json"
+    assert main(["gen", *gen_args, "--out", str(inst)]) == 0
+    assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
