@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,26 +125,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
+    params = inst.params
     if args.eps is not None:
         if args.eps <= 0:
             raise InvalidInputError("--eps must be positive")
-        inst = InstanceFile(
-            space=inst.space,
-            seed_points=inst.seed_points,
-            params=inst.params.scaled(args.eps / inst.params.eps),
-        )
+        params = params.scaled(args.eps / params.eps)
     if args.rng_seed is not None:
-        inst = InstanceFile(
-            space=inst.space,
-            seed_points=inst.seed_points,
-            params=_replace(inst.params, rng_seed=args.rng_seed),
-        )
+        params = replace(params, rng_seed=args.rng_seed)
     if args.max_rounds is not None:
-        inst = InstanceFile(
-            space=inst.space,
-            seed_points=inst.seed_points,
-            params=_replace(inst.params, max_rounds=args.max_rounds),
-        )
+        params = replace(params, max_rounds=args.max_rounds)
+    inst = replace(inst, params=params)
 
     t0 = time.perf_counter()
     report, passed, timings = _run_pipeline(args.subcommand, inst)
@@ -322,12 +313,6 @@ def _witness_obj(w):
         "t_next": w.t_next,
         "defect": w.defect,
     }
-
-
-def _replace(params, **kw):
-    from dataclasses import replace
-
-    return replace(params, **kw)
 
 
 # ---------------------------------------------------------------------------

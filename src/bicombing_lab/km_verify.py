@@ -14,7 +14,6 @@ import numpy as np
 
 from .convexity import (
     ConvexFunctional,
-    HullResult,
     PointNet,
     check_convex_functional,
     directed_excess,
@@ -30,7 +29,7 @@ from .extremal import (
     is_extremal_set,
     minimal_extremal_descent,
 )
-from .space_core import BicombedSpace, InvalidInputError, Point
+from .space_core import BicombedSpace, InvalidInputError
 
 
 @dataclass(frozen=True)

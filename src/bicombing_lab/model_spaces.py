@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -254,39 +254,21 @@ class LpSpace(_CoordinateRows, BicombedSpace):
         if not isinstance(p, EuclideanPoint) or len(p.coords) != self.n:
             raise InvalidInputError(f"{p!r} is not a point of {self.description}")
 
-    def _norm(self, diff: Sequence[float]) -> float:
+    def _norms(self, diff: np.ndarray) -> np.ndarray:
+        """l^p norms of difference vectors along the last axis."""
         if math.isinf(self.p):
-            return max(abs(d) for d in diff)
+            return np.abs(diff).max(axis=-1)
         if self.p == 2.0:
-            return math.hypot(*diff)
+            return np.sqrt((diff * diff).sum(axis=-1))
         if self.p == 1.0:
-            return sum(abs(d) for d in diff)
-        return sum(abs(d) ** self.p for d in diff) ** (1.0 / self.p)
-
-    def _distance(self, x: EuclideanPoint, y: EuclideanPoint) -> float:
-        return self._norm([a - b for a, b in zip(x.coords, y.coords)])
-
-    def _bicombing(self, x: EuclideanPoint, y: EuclideanPoint, t: float) -> EuclideanPoint:
-        if x == y:
-            return x
-        return EuclideanPoint(
-            tuple((1.0 - t) * a + t * b for a, b in zip(x.coords, y.coords))
-        )
-
-    # batch hooks
+            return np.abs(diff).sum(axis=-1)
+        return (np.abs(diff) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def points_from_packed(self, packed) -> list[Point]:
         return [EuclideanPoint(tuple(row)) for row in packed.tolist()]
 
     def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        diff = A[:, None, :] - B[None, :, :]
-        if math.isinf(self.p):
-            return np.abs(diff).max(axis=2)
-        if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=2))
-        if self.p == 1.0:
-            return np.abs(diff).sum(axis=2)
-        return (np.abs(diff) ** self.p).sum(axis=2) ** (1.0 / self.p)
+        return self._norms(A[:, None, :] - B[None, :, :])
 
     def make_index(self, packed):
         return _KDTreeIndex(packed, self.p)
@@ -299,14 +281,7 @@ class LpSpace(_CoordinateRows, BicombedSpace):
         return S.reshape(len(I) * len(ts), self.n)
 
     def paired_dist(self, A, B) -> np.ndarray:
-        diff = A - B
-        if math.isinf(self.p):
-            return np.abs(diff).max(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1))
-        if self.p == 1.0:
-            return np.abs(diff).sum(axis=1)
-        return (np.abs(diff) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return self._norms(A - B)
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Exact l^p distance to conv(K) for p in {1, 2, inf} (any p on a line):
@@ -339,6 +314,17 @@ def _mink(x: Sequence[float], y: Sequence[float]) -> float:
     return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+def _minkowski_sq(U: np.ndarray) -> np.ndarray:
+    """<u, u>_M of the vectors along the last axis."""
+    return (U * U * _MINK_SIGNS).sum(axis=-1)
+
+
+def _chord_dist(q: np.ndarray) -> np.ndarray:
+    """Distance 2*asinh(sqrt(q)/2) from chord squares q = <x-y, x-y>_M;
+    a q that rounding left below 0 counts as 0."""
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
+
+
 class HyperbolicPlane(_CoordinateRows, BicombedSpace):
     """Hyperbolic plane realized on the unit hyperboloid in Minkowski 3-space.
 
@@ -366,26 +352,6 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
                 f"point off the unit hyperboloid: <x,x>_M = {q!r} (|<x,x>_M + 1| > 1e-9)"
             )
 
-    def _distance(self, x: HyperboloidPoint, y: HyperboloidPoint) -> float:
-        u = [a - b for a, b in zip(x.coords, y.coords)]
-        q = max(_mink(u, u), 0.0)
-        return 2.0 * math.asinh(0.5 * math.sqrt(q))
-
-    def _bicombing(self, x: HyperboloidPoint, y: HyperboloidPoint, t: float) -> HyperboloidPoint:
-        if x == y:
-            return x
-        d = self._distance(x, y)
-        if d == 0.0:
-            return x
-        sd = math.sinh(d)
-        a = math.sinh((1.0 - t) * d) / sd
-        b = math.sinh(t * d) / sd
-        z = [a * xc + b * yc for xc, yc in zip(x.coords, y.coords)]
-        s = math.sqrt(-_mink(z, z))
-        return HyperboloidPoint((z[0] / s, z[1] / s, z[2] / s))
-
-    # batch hooks
-
     def points_from_packed(self, packed) -> list[Point]:
         return [HyperboloidPoint(tuple(row)) for row in packed.tolist()]
 
@@ -398,10 +364,8 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
         small = q < 1e-4
         if small.any():
             ra, cb = np.nonzero(small)
-            diff = A[ra] - B[cb]
-            q[ra, cb] = (diff * diff * _MINK_SIGNS).sum(axis=1)
-        np.maximum(q, 0.0, out=q)
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+            q[ra, cb] = _minkowski_sq(A[ra] - B[cb])
+        return _chord_dist(q)
 
     def min_dist(self, A, B) -> np.ndarray:
         """Row minima of the distance matrix without per-entry arcsinh.
@@ -423,22 +387,17 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
             if len(small):
                 cand = q[small] <= qmin[small, None] + 1e-12
                 ra, cb = np.nonzero(cand)
-                diff = Ab[small][ra] - B[cb]
-                q2 = (diff * diff * _MINK_SIGNS).sum(axis=1)
                 refined = np.full(len(small), np.inf)
-                np.minimum.at(refined, ra, q2)
+                np.minimum.at(refined, ra, _minkowski_sq(Ab[small][ra] - B[cb]))
                 qmin[small] = refined
-            np.maximum(qmin, 0.0, out=qmin)
-            out[lo : lo + rows] = 2.0 * np.arcsinh(0.5 * np.sqrt(qmin))
+            out[lo : lo + rows] = _chord_dist(qmin)
         return out
 
     def segment_batch(self, packed, I, J, ts) -> np.ndarray:
         X = packed[I]
         Y = packed[J]
         ts = np.asarray(ts, dtype=np.float64)
-        diff = X - Y
-        q = np.maximum((diff * diff * _MINK_SIGNS).sum(axis=1), 0.0)
-        d = 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+        d = _chord_dist(_minkowski_sq(X - Y))
         safe = np.where(d > 0.0, d, 1.0)
         sd = np.sinh(safe)
         a = np.sinh((1.0 - ts)[None, :] * safe[:, None]) / sd[:, None]
@@ -447,14 +406,12 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
         degenerate = d == 0.0
         if degenerate.any():
             Z[degenerate] = X[degenerate][:, None, :]
-        nrm = np.sqrt(-(Z * Z * _MINK_SIGNS).sum(axis=2))
+        nrm = np.sqrt(-_minkowski_sq(Z))
         Z /= nrm[:, :, None]
         return Z.reshape(len(I) * len(ts), 3)
 
     def paired_dist(self, A, B) -> np.ndarray:
-        diff = A - B
-        q = np.maximum((diff * diff * _MINK_SIGNS).sum(axis=1), 0.0)
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+        return _chord_dist(_minkowski_sq(A - B))
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Exact distance to the geodesic hull of K.
@@ -525,8 +482,10 @@ def lorentz_boost(eta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: the four route terms of a tree distance, in `_route_terms` order: the first
-#: point's leg to its exit node, exit node, entry node, the second point's leg
+#: the four route terms of a distance between points on different edges: the
+#: first point's leg to its exit node, exit node, entry node, the second
+#: point's leg.  Each term is (leg + node distance) + leg, and the distance is
+#: their minimum; points on one edge are |offset difference| apart
 _ROUTE_ENDS = (
     ("to_tail", "tail", "tail", "to_tail"),
     ("to_tail", "tail", "head", "to_head"),
@@ -663,57 +622,7 @@ class TreeSpace(BicombedSpace):
                 f"{p!r} is a non-canonical node location; construct via point_on_edge"
             )
 
-    # -- metric and segment map ----------------------------------------------
-
-    def _route_terms(self, x: TreePoint, y: TreePoint) -> tuple[float, ...]:
-        xt, xh = self._tail[x.edge], self._head[x.edge]
-        yt, yh = self._tail[y.edge], self._head[y.edge]
-        a, ra = x.offset, float(self._len[x.edge]) - x.offset
-        b, rb = y.offset, float(self._len[y.edge]) - y.offset
-        D = self._dist
-        return (
-            a + D[xt, yt] + b,
-            a + D[xt, yh] + rb,
-            ra + D[xh, yt] + b,
-            ra + D[xh, yh] + rb,
-        )
-
-    def _distance(self, x: TreePoint, y: TreePoint) -> float:
-        if x.edge == y.edge:
-            return abs(x.offset - y.offset)
-        return float(min(self._route_terms(x, y)))
-
-    def _bicombing(self, x: TreePoint, y: TreePoint, t: float) -> TreePoint:
-        if x == y:
-            return x
-        if x.edge == y.edge:
-            # clamped: x + t * (y - x) can round past the edge end at t = 1
-            s = x.offset + t * (y.offset - x.offset)
-            return self.point_on_edge(x.edge, min(max(s, 0.0), float(self._len[x.edge])))
-        routes = self._route_terms(x, y)
-        k = min(range(4), key=routes.__getitem__)
-        d = routes[k]
-        s = t * d
-        exit_is_tail = k < 2
-        leg = x.offset if exit_is_tail else float(self._len[x.edge]) - x.offset
-        if s <= leg:
-            return self.point_on_edge(x.edge, x.offset - s if exit_is_tail else x.offset + s)
-        s -= leg
-        node = int(self._tail[x.edge]) if exit_is_tail else int(self._head[x.edge])
-        entry_is_tail = k % 2 == 0
-        entry_node = int(self._tail[y.edge]) if entry_is_tail else int(self._head[y.edge])
-        while node != entry_node:
-            ei = int(self._next_edge[node, entry_node])
-            w = self._len[ei]
-            if s <= w:
-                return self.point_on_edge(ei, s if self._tail[ei] == node else w - s)
-            s -= w
-            node = int(self._tail[ei] + self._head[ei]) - node
-        final_leg = y.offset if entry_is_tail else float(self._len[y.edge]) - y.offset
-        s = min(s, final_leg)
-        return self.point_on_edge(y.edge, s if entry_is_tail else float(self._len[y.edge]) - s)
-
-    # -- batch hooks -----------------------------------------------------------
+    # -- packed points, metric and segment map ---------------------------------
 
     def _pack_arrays(self, edge: np.ndarray, off: np.ndarray) -> dict:
         return {
@@ -766,8 +675,8 @@ class TreeSpace(BicombedSpace):
         return edge, off
 
     def _dist_block(self, A: dict, B: dict) -> np.ndarray:
-        """Each route term is (offset + node distance) + offset, the sums
-        `_distance` forms; node distances come from the flattened table."""
+        """The `_ROUTE_ENDS` terms with node distances read from the
+        flattened table; entries on one edge are |offset difference|."""
         table, n = self._dist.ravel(), len(self._dist)
         d = None
         for a, u, v, b in _ROUTE_ENDS:
@@ -782,10 +691,12 @@ class TreeSpace(BicombedSpace):
         return d
 
     def segment_batch(self, packed, I, J, ts):
-        """`_bicombing` for every sample at once, with the same arithmetic:
-        the route is the first minimal route term, and samples past their
-        first leg walk their node paths in lockstep, one edge per step, each
-        subtracting its edge lengths in path order."""
+        """Constant-speed walks along the connecting paths, all samples at
+        once.  On one edge a sample is x + t (y - x), clamped to the edge.
+        Otherwise the route is the first minimal route term, and samples past
+        their first leg walk their node paths in lockstep, one edge per step,
+        each subtracting its edge lengths in path order.  Samples of x == y
+        stay x."""
         ts = np.asarray(ts, dtype=np.float64)
         X = self.packed_take(packed, np.repeat(np.asarray(I, dtype=np.int64), len(ts)))
         Y = self.packed_take(packed, np.repeat(np.asarray(J, dtype=np.int64), len(ts)))
@@ -854,7 +765,7 @@ class TreeSpace(BicombedSpace):
         return np.abs(s - s_star[:, None, :]) + d_star[:, None, :]
 
     def _routes(self, A, B) -> np.ndarray:
-        """Rowwise route terms, in `_route_terms` order: shape (4, len(A))."""
+        """Rowwise route terms, in `_ROUTE_ENDS` order: shape (4, len(A))."""
         D = self._dist
         return np.stack([A[a] + D[A[u], B[v]] + B[b] for a, u, v, b in _ROUTE_ENDS])
 
@@ -935,18 +846,6 @@ class ProductSpace(BicombedSpace):
             raise InvalidInputError(f"{p!r} is not a product point")
         self.left.validate_point(p.left)
         self.right.validate_point(p.right)
-
-    def _distance(self, x: ProductPoint, y: ProductPoint) -> float:
-        return math.hypot(
-            self.left._distance(x.left, y.left), self.right._distance(x.right, y.right)
-        )
-
-    def _bicombing(self, x: ProductPoint, y: ProductPoint, t: float) -> ProductPoint:
-        if x == y:
-            return x
-        lx = x.left if x.left == y.left else self.left._bicombing(x.left, y.left, t)
-        rx = x.right if x.right == y.right else self.right._bicombing(x.right, y.right, t)
-        return ProductPoint(lx, rx)
 
     # batch hooks: a packed product set is the pair of packed factor sets
 

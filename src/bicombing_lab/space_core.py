@@ -10,10 +10,9 @@ runtime are endpoint/idempotence behaviour (``[x,y](0) = x``, ``[x,y](1) = y``,
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -120,12 +119,26 @@ class _PackedIndex:
 class BicombedSpace:
     """A metric space with a distinguished segment map.
 
-    Subclasses implement the scalar evaluators ``_distance`` and ``_bicombing``
-    plus ``validate_point``.  The batch hooks below have generic fallbacks; model
-    spaces override them with array implementations so that set-level operations
-    (hull closure, extremal scans) run over ndarrays instead of Python objects.
+    Each space writes its geometry once, as batch kernels over its packed
+    (array) form of a point set, plus a scalar ``validate_point`` for input.
+    Every space implements these packed hooks:
 
-    Spaces are immutable after construction and every evaluator is a pure
+    - ``pack(points)`` and ``points_from_packed(packed)``: to and from the
+      packed form; ``packed_len``, ``packed_take(packed, rows)`` and
+      ``packed_concat(parts)`` size, select and join packed sets;
+    - ``sort_columns(packed)``: columns, most significant first, whose
+      lexicographic row order is the canonical point order; rows are equal
+      exactly when points are;
+    - ``_dist_block(A, B)``: the dense distance matrix of two packed sets;
+    - ``paired_dist(A, B)``: rowwise distances of equal-length packed sets;
+    - ``segment_batch(packed, I, J, ts)``: packed samples [I[k], J[k]](t)
+      for every t in ts, pair-major (len(I) * len(ts) rows).
+
+    Set-level operations (hull closure, extremal scans), the single-point
+    operations ``distance`` and ``evaluate_bicombing``, and ``check_axioms``
+    all run on these kernels.
+
+    Spaces are immutable after construction and every kernel is a pure
     function of its inputs, so instances are safe to share across threads.
     """
 
@@ -134,50 +147,8 @@ class BicombedSpace:
     #: transcendental functions accumulate error (hyperbolic and its products)
     base_tol: float = 1e-9
 
-    # -- scalar contract ---------------------------------------------------
-
     def validate_point(self, p: Point) -> None:
         raise NotImplementedError
-
-    def _distance(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
-
-    def _bicombing(self, x: Point, y: Point, t: float) -> Point:
-        raise NotImplementedError
-
-    # -- batch hooks (generic fallbacks) ------------------------------------
-
-    def pack(self, pts: Sequence[Point]):
-        """Bundle points into the space's array form for batch operations."""
-        return list(pts)
-
-    def packed_len(self, packed) -> int:
-        return len(packed)
-
-    def packed_take(self, packed, rows):
-        return [packed[int(i)] for i in np.atleast_1d(rows)]
-
-    def packed_concat(self, parts):
-        return [p for part in parts for p in part]
-
-    def sort_columns(self, packed) -> list[np.ndarray]:
-        """Columns, most significant first, whose lexicographic row order is
-        the canonical point order; rows are equal exactly when points are."""
-        keys = [canonical_key(p) for p in packed]
-        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        return [np.array([rank[k] for k in keys])]
-
-    def points_from_packed(self, packed) -> list[Point]:
-        return list(packed)
-
-    def _dist_block(self, A, B) -> np.ndarray:
-        out = np.empty((self.packed_len(A), self.packed_len(B)))
-        pa = self.points_from_packed(A)
-        pb = self.points_from_packed(B)
-        for i, x in enumerate(pa):
-            for j, y in enumerate(pb):
-                out[i, j] = self._distance(x, y)
-        return out
 
     def dist_matrix(self, A, B) -> np.ndarray:
         """Pairwise distance matrix between two packed sets, built in row blocks."""
@@ -217,19 +188,6 @@ class BicombedSpace:
         """Index for repeated nearest-distance queries against a fixed set."""
         return _PackedIndex(self, packed)
 
-    def segment_batch(self, packed, I: np.ndarray, J: np.ndarray, ts: np.ndarray):
-        """Packed segment samples for index pairs (I[k], J[k]) at every t in ts.
-
-        Returns a packed set of len(I)*len(ts) samples, pair-major.
-        """
-        pts = self.points_from_packed(packed)
-        out = []
-        for i, j in zip(I, J):
-            x, y = pts[int(i)], pts[int(j)]
-            for t in ts:
-                out.append(self._bicombing(x, y, float(t)) if x != y else x)
-        return self.pack(out)
-
     def chord_dists(
         self, packed, I: np.ndarray, J: np.ndarray, ts: np.ndarray, targets
     ) -> np.ndarray:
@@ -237,12 +195,6 @@ class BicombedSpace:
         S = self.segment_batch(packed, I, J, ts)
         M = self.dist_matrix(S, targets)
         return M.reshape(len(I), len(ts), self.packed_len(targets))
-
-    def paired_dist(self, A, B) -> np.ndarray:
-        """Rowwise distances between equal-length packed sets."""
-        pa = self.points_from_packed(A)
-        pb = self.points_from_packed(B)
-        return np.array([self._distance(x, y) for x, y in zip(pa, pb)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +209,7 @@ def distance(space: BicombedSpace, x: Point, y: Point) -> float:
     """
     space.validate_point(x)
     space.validate_point(y)
-    return space._distance(x, y)
+    return float(space.paired_dist(space.pack([x]), space.pack([y]))[0])
 
 
 def evaluate_bicombing(space: BicombedSpace, x: Point, y: Point, t: float) -> Point:
@@ -274,7 +226,8 @@ def evaluate_bicombing(space: BicombedSpace, x: Point, y: Point, t: float) -> Po
         return x
     if t == 1.0:
         return y
-    return space._bicombing(x, y, t)
+    S = space.segment_batch(space.pack([x, y]), np.array([0]), np.array([1]), np.array([t]))
+    return space.points_from_packed(S)[0]
 
 
 def sample_segment(space: BicombedSpace, x: Point, y: Point, m: int) -> list[Point]:
@@ -324,64 +277,62 @@ def check_axioms(
     For each quadruple (x, y, x', y') the function
     f(t) = d([x,y](t), [x',y'](t)) is sampled at t_k = k/grid and the
     midpoint-convexity defect f(t_k) - (f(t_{k-1}) + f(t_{k+1}))/2 is recorded
-    for interior nodes.  Endpoint and idempotence errors are measured on the
-    same grid.  The symmetry defect d([x,y](t), [y,x](1-t)) is reported
-    informatively and does not affect the verdict.
+    for interior nodes; the witness is the first largest defect in quadruple
+    then node order, reported when it exceeds tol.  The endpoint error is
+    d([x,y](0), x) and d([x,y](1), y), the idempotence error d([p,p](t), p)
+    for each point p of the quadruple, both on the same grid.  The symmetry
+    defect d([x,y](t), [y,x](1-t)) is reported informatively and does not
+    affect the verdict.
+
+    All points are packed once, and every segment sample, degenerate [p,p]
+    ones included, comes from the space's ``segment_batch`` and every
+    distance from its ``paired_dist``, the kernels the set-level operations
+    use.
     """
     if grid < 2:
         raise InvalidInputError("axiom-check grid must be >= 2")
-    ts = [k / grid for k in range(grid + 1)]
-
-    max_endpoint = 0.0
-    max_idem = 0.0
-    max_conv = -math.inf
-    max_sym = 0.0
-    witness = None
-
-    def raw(a: Point, b: Point, t: float) -> Point:
-        return a if a == b else space._bicombing(a, b, t)
-
+    if not pairs:
+        return AxiomReport(0, grid, 0.0, 0.0, 0.0, 0.0, None, True)
     for quad in pairs:
-        x, y, x2, y2 = quad
         for p in quad:
             space.validate_point(p)
-        seg1 = [raw(x, y, t) for t in ts]
-        seg2 = [raw(x2, y2, t) for t in ts]
-        f = [space._distance(a, b) for a, b in zip(seg1, seg2)]
+    n = grid + 1
+    ts = np.arange(n) / grid
+    P = space.pack([p for quad in pairs for p in quad])
+    rows = np.arange(space.packed_len(P))
+    # segments [x, y] of every quadruple, then every [x', y']
+    I = np.concatenate([rows[0::4], rows[2::4]])
+    J = np.concatenate([rows[1::4], rows[3::4]])
+    S = space.segment_batch(P, I, J, ts)
+    half = len(pairs) * n
+    seg1 = space.packed_take(S, np.arange(half))
+    seg2 = space.packed_take(S, np.arange(half, 2 * half))
+    f = space.paired_dist(seg1, seg2).reshape(len(pairs), n)
+    starts = np.arange(len(I)) * n  # the t = 0 sample of every segment
+    max_endpoint = max(
+        space.paired_dist(space.packed_take(S, starts), space.packed_take(P, I)).max(),
+        space.paired_dist(space.packed_take(S, starts + grid), space.packed_take(P, J)).max(),
+    )
+    idem = space.segment_batch(P, rows, rows, ts)
+    max_idem = space.paired_dist(idem, space.packed_take(P, np.repeat(rows, n))).max()
+    max_sym = space.paired_dist(S, space.segment_batch(P, J, I, 1.0 - ts)).max()
 
-        max_endpoint = max(
-            max_endpoint,
-            space._distance(seg1[0], x),
-            space._distance(seg1[-1], y),
-            space._distance(seg2[0], x2),
-            space._distance(seg2[-1], y2),
+    defects = f[:, 1:-1] - 0.5 * (f[:, :-2] + f[:, 2:])
+    worst = int(np.argmax(defects))
+    max_conv = float(defects.flat[worst])
+    witness = None
+    if max_conv > tol:
+        q, k = divmod(worst, grid - 1)
+        witness = ConvexityWitness(
+            *pairs[q], float(ts[k]), float(ts[k + 1]), float(ts[k + 2]), max_conv
         )
-        for p in {x, y, x2, y2}:
-            for t in ts:
-                max_idem = max(max_idem, space._distance(raw(p, p, t), p))
-        rev1 = [raw(y, x, 1.0 - t) for t in ts]
-        rev2 = [raw(y2, x2, 1.0 - t) for t in ts]
-        for a, b, c, d in zip(seg1, rev1, seg2, rev2):
-            max_sym = max(max_sym, space._distance(a, b), space._distance(c, d))
-
-        for k in range(1, grid):
-            defect = f[k] - 0.5 * (f[k - 1] + f[k + 1])
-            if defect > max_conv:
-                max_conv = defect
-                if defect > tol:
-                    witness = ConvexityWitness(
-                        x, y, x2, y2, ts[k - 1], ts[k], ts[k + 1], defect
-                    )
-
-    if max_conv == -math.inf:
-        max_conv = 0.0
     passed = bool(max_endpoint <= tol and max_idem <= tol and max_conv <= tol)
     return AxiomReport(
         pairs_checked=len(pairs),
         grid_size=grid,
         max_endpoint_error=float(max_endpoint),
         max_idempotence_error=float(max_idem),
-        max_convexity_violation=float(max_conv),
+        max_convexity_violation=max_conv,
         max_symmetry_defect=float(max_sym),
         worst_witness=witness,
         passed=passed,

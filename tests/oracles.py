@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bicombing_lab import PointNet, TreePoint, canonical_key
+from bicombing_lab import LpSpace, PointNet, ProductSpace, TreePoint, canonical_key
 
 
 def int_grid_extremal(coords: np.ndarray, unit: int, h_num: int, h_den: int,
@@ -160,10 +160,13 @@ def tree_walk(space, x: TreePoint, y: TreePoint, ts) -> list[TreePoint]:
     out = []
     for t in ts:
         s = t * total
-        for edge, a, b in pieces:
+        # the last piece takes what is left, which rounding can push past its end
+        for edge, a, b in pieces[:-1]:
             if s <= abs(b - a):
                 break
             s -= abs(b - a)
+        else:
+            edge, a, b = pieces[-1]
         off = min(max(a + s if b >= a else a - s, min(a, b)), max(a, b))
         out.append(_tree_canonical(space, edge, off))
     return out
@@ -209,6 +212,49 @@ def brute_extremal_tree(space, C: PointNet, h: float, delta: float,
         if not killed:
             out.append(pts[pi])
     return out
+
+
+def _axiom_geometry(space):
+    """(convert, segment, distance) for lp spaces, metric trees and their
+    products.  convert(p) gives this module's form of a point, segment(x, y,
+    ts) the points at fractions ts from x to y, distance(a, b) a float.  Lp
+    segments are the closed form (1-t)x + ty with np.linalg.norm distances;
+    tree segments and distances come from this module's path walk."""
+    if isinstance(space, LpSpace):
+        return (lambda p: np.array(p.coords),
+                lambda x, y, ts: [(1.0 - t) * x + t * y for t in ts],
+                lambda a, b: float(np.linalg.norm(a - b, ord=space.p)))
+    if isinstance(space, ProductSpace):
+        conv_l, seg_l, dist_l = _axiom_geometry(space.left)
+        conv_r, seg_r, dist_r = _axiom_geometry(space.right)
+        return (lambda p: (conv_l(p.left), conv_r(p.right)),
+                lambda x, y, ts: list(zip(seg_l(x[0], y[0], ts), seg_r(x[1], y[1], ts))),
+                lambda a, b: math.hypot(dist_l(a[0], b[0]), dist_r(a[1], b[1])))
+    return (lambda p: p, lambda x, y, ts: tree_walk(space, x, y, ts),
+            lambda a, b: tree_distance(space, a, b))
+
+
+def axiom_defects(space, quads, grid: int) -> tuple[float, float, float, float]:
+    """Largest endpoint error, idempotence error, midpoint-convexity defect and
+    symmetry defect over the quadruples, as ``check_axioms`` defines them,
+    evaluated one segment at a time on the t-grid k/grid."""
+    convert, segment, dist = _axiom_geometry(space)
+    ts = [k / grid for k in range(grid + 1)]
+    endpoint = idem = sym = 0.0
+    conv = -math.inf
+    for quad in quads:
+        x, y, x2, y2 = (convert(p) for p in quad)
+        s1, s2 = segment(x, y, ts), segment(x2, y2, ts)
+        endpoint = max(endpoint, dist(s1[0], x), dist(s1[-1], y),
+                       dist(s2[0], x2), dist(s2[-1], y2))
+        for p in (x, y, x2, y2):
+            idem = max([idem] + [dist(q, p) for q in segment(p, p, ts)])
+        for seg, (a, b) in ((s1, (x, y)), (s2, (x2, y2))):
+            rev = segment(b, a, [1.0 - t for t in ts])
+            sym = max([sym] + [dist(u, v) for u, v in zip(seg, rev)])
+        f = [dist(u, v) for u, v in zip(s1, s2)]
+        conv = max([conv] + [f[k] - 0.5 * (f[k - 1] + f[k + 1]) for k in range(1, grid)])
+    return endpoint, idem, conv, sym
 
 
 def acosh_reference(x: float, terms: int = 60) -> float:

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bicombing_lab import (
-    BicombedSpace,
     ConvexFunctional,
     InvalidInputError,
     MetricTreeSpec,
@@ -409,35 +408,11 @@ def test_dist_to_hull_unsupported_spaces_raise(star3, path_tree):
 # ---------------------------------------------------------------------------
 
 
-class _ScalarPlane(BicombedSpace):
-    """The Euclidean plane through the scalar contract alone, so packing, sort
-    columns and distances take the base class's generic list-based hooks."""
-
-    description = "plane through scalar hooks"
-
-    def __init__(self):
-        self._base = make_lp_space(NormedSpaceSpec(2, 2.0))
-
-    def validate_point(self, p):
-        self._base.validate_point(p)
-
-    def _distance(self, x, y):
-        return self._base._distance(x, y)
-
-    def _bicombing(self, x, y, t):
-        return self._base._bicombing(x, y, t)
-
-
-@pytest.fixture(scope="module")
-def scalar_plane():
-    return _ScalarPlane()
-
-
 def _duplicate_heavy_points(space_name, rng, count):
     """Points drawn from a few values per coordinate, so most rows repeat and
     -0.0 and 0.0 both occur (they are equal points)."""
     zeros = (0.0, -0.0)
-    if space_name in ("plane", "scalar_plane"):
+    if space_name == "plane":
         vals = zeros + (0.5, -0.5, 1.0)
         return [euclidean(*rng.choice(vals, 2)) for _ in range(count)]
     if space_name == "hplane":
@@ -465,8 +440,7 @@ def _flip_zeros(p):
     return type(p)(tuple(-c if c == 0 else c for c in p.coords))
 
 
-@pytest.mark.parametrize("space_name",
-                         ["plane", "hplane", "star3", "product_space", "scalar_plane"])
+@pytest.mark.parametrize("space_name", ["plane", "hplane", "star3", "product_space"])
 def test_canonical_rows_match_sorted_set(space_name, request):
     space = request.getfixturevalue(space_name)
     rng = np.random.default_rng(41)
@@ -492,7 +466,7 @@ def test_canonical_rows_keep_first_signed_zero(plane):
 
 
 def _random_points(space_name, rng, count):
-    if space_name in ("plane", "scalar_plane"):
+    if space_name == "plane":
         return [euclidean(*rng.uniform(0, 1, 2)) for _ in range(count)]
     if space_name == "hplane":
         return [hyperbolic_point_at(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
@@ -506,7 +480,7 @@ def _random_points(space_name, rng, count):
 
 @pytest.mark.parametrize("space_name, eps, count", [
     ("plane", 0.1, 1300), ("hplane", 0.2, 1300), ("star3", 0.05, 1300),
-    ("product_space", 0.1, 1300), ("scalar_plane", 0.1, 600),
+    ("product_space", 0.1, 1300),
 ])
 def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, request):
     # more than 512 candidates span several chunks, so both the test against
@@ -520,14 +494,6 @@ def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, requ
     rng = np.random.default_rng(44)
     shuffled = [pts[i] for i in rng.permutation(len(pts))] + pts[:50]
     assert PointNet.build(space, shuffled, eps).points == tuple(want)
-
-
-def test_hull_through_generic_hooks_matches_plane(plane, scalar_plane):
-    # dyadic seed and samples: distances are exact in both arithmetics
-    seed = [euclidean(0, 0), euclidean(1, 0), euclidean(0, 1)]
-    want = hull_closure(plane, PointNet.build(plane, seed, 0.25))
-    got = hull_closure(scalar_plane, PointNet.build(scalar_plane, seed, 0.25))
-    assert got.net.points == want.net.points and got.rounds == want.rounds > 1
 
 
 @pytest.mark.parametrize("step, kept", [(0.125, 33 * 33), (0.0625, 17 * 17)])

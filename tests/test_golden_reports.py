@@ -1,10 +1,13 @@
 """Byte identity of CLI reports on golden instances.
 
 Each case writes an instance with ``bicombing-lab gen``, runs one pipeline on
-it and compares the SHA-256 of the report with a digest recorded at commit
-4a5db54, before hull closure kept its samples as packed arrays.  A refactor
-that keeps the lab's arithmetic keeps every digest.  A change that moves a
-report must say which one and why, and record the new digest here.
+it and compares the SHA-256 of the report with a recorded digest: the
+``verify-km`` and ``hull`` cases at commit 4a5db54, before hull closure kept
+its samples as packed arrays, and the ``paper-checks`` and ``check-axioms``
+cases at commit bd95d23, while the scalar distance and segment evaluators
+still existed beside the batch kernels.  A refactor that keeps the lab's
+arithmetic keeps every digest.  A change that moves a report must say which
+one and why, and record the new digest here.
 
 The digests pin floating-point rounding, and the numpy build and its BLAS
 take part in it (hyperbolic distances go through a BLAS matrix product).  They
@@ -32,6 +35,14 @@ GOLDEN = [
      "34cf8481f5d56fe8923cbe24dbfd6fe7581f3a52bbc91e2f36fa26cae3cacb87"),
     ("hull", ["product_demo"],
      "229cadbdbdbe700d5bfb7ef5193b5700d605afe28e9f404b9e5c4de977a74ff4"),
+    ("paper-checks", ["cube", "--step", "0.16666666666666666"],
+     "7fc78f5da6c818719d0b5ee0cf2531d004970f060d4c85ad1b53ad8e9a62675c"),
+    ("paper-checks", ["hyp_triangle"],
+     "59dd960ce5feb10be0d1dfb656e0bd08bff1a0ef455f090753965d3a170f7d40"),
+    ("paper-checks", ["tree_leaves"],
+     "052ebefc8f726a9daea5629aa135f0c9472fc5bbd4f58899476c666ef899ea45"),
+    ("check-axioms", ["tree_leaves"],
+     "b082ee50d1746778bd55d6f17c7f20c10ffb67466de15b79560b3b6824a45da3"),
 ]
 
 

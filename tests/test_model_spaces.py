@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from collections import deque
 
@@ -225,6 +226,43 @@ def tree_case(request, random_tree):
     return star_tree(3) if request.param == "star" else random_tree
 
 
+def _digest(*arrays) -> str:
+    """SHA-256 of the arrays' bytes in order, as little-endian int64 or float64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind in "iu" else "<f8").tobytes())
+    return h.hexdigest()
+
+
+#: digests of tree batch outputs, keyed by node count (4: the 3-leaf star,
+#: 1000: the seeded random tree).  They were recorded at commit bd95d23, where
+#: each output equalled the per-point scalar distance and segment evaluators
+#: bit for bit, so they keep that exact check now that the batch kernels are
+#: the only ones.  Tree kernels only add, subtract, multiply and compare, so
+#: the digests do not depend on the BLAS.
+TREE_DIGESTS = {
+    4: {
+        "segments": "5890b1d98388c1dea207f4a89737e77bf3fe1aa5c53650c18f33c6fe461dc7cb",
+        "ends": "2d0a12c7f43160026f8c69aa1d4fa37179d5b7176ee186c2f4a22045c3db5059",
+        "dist_matrix": "8aa0fbd3bbe1a7c4124b88477a33a71acce4fc7d101a16b52b738d5ff0179a50",
+        "row_minima": "e4862a2a9e41f8a8f964b8a4a4c4f736e5b7e14ae300e42b7d57c469c90547c8",
+        "paired": "9be5fdb989f4785deb559c2a667d8137ad50d439c1f8f6918ac920f2c6dd8b3a",
+    },
+    1000: {
+        "segments": "e37b012cc87892558bc021b6dffe37fbf925324b44aae891395777a383f409e3",
+        "ends": "e9c9f8270374ddb1af880e2561b7e49da0da90759a662cb0baf44c73e0b7f235",
+        "dist_matrix": "49208526edfcbca72902ba0844d599f1a5683f036dcb70801ffb33dff5527962",
+        "row_minima": "6676025a12cff6cfc6a5cedf430935ae812dfa30082713a02d6553a2cfaac8ff",
+        "paired": "dfd2c6007095532338577d6b46e0774fc2e780a8e770d45c083deb621f88bb46",
+    },
+}
+
+#: digest of the four samples of test_tree_same_edge_segment_ends_at_y,
+#: recorded with TREE_DIGESTS
+SAME_EDGE_DIGEST = "5fe10a2b8ece72ceb7d7e305cd8cdbc0073bd3097d94f105ac5ed7dac1813c4f"
+
+
 def test_tree_node_table_matches_breadth_first_sums(random_tree):
     # every entry is the sum a breadth-first walk from the source forms, one
     # edge at a time, bit for bit
@@ -264,15 +302,14 @@ def test_tree_segment_batch_matches_scalar_and_walk(tree_case):
     J = np.concatenate([J, [j for _, j in same_edge]])
     ts = np.array([k / 9 for k in range(9)])
     S = tree_case.segment_batch(tree_case.pack(pts), I, J, ts)
+    want = TREE_DIGESTS[len(tree_case.nodes)]
+    assert _digest(S["edge"], S["off"]) == want["segments"]
     got = tree_case.points_from_packed(S)
-    want = [tree_case._bicombing(pts[i], pts[j], float(t)) for i, j in zip(I, J) for t in ts]
-    assert got == want
     # at t = 1 the walk ends on y's edge, where the last leg is clamped
     apart = [(i, j) for i, j in zip(I, J) if pts[i].edge != pts[j].edge]
     ends = tree_case.segment_batch(tree_case.pack(pts), [i for i, _ in apart],
                                    [j for _, j in apart], np.array([1.0]))
-    assert tree_case.points_from_packed(ends) == [tree_case._bicombing(pts[i], pts[j], 1.0)
-                                                  for i, j in apart]
+    assert _digest(ends["edge"], ends["off"]) == want["ends"]
     for k, (i, j) in enumerate(zip(I[:150], J[:150])):
         walked = oracles.tree_walk(tree_case, pts[i], pts[j], ts)
         for g, w in zip(got[k * len(ts):(k + 1) * len(ts)], walked):
@@ -280,29 +317,26 @@ def test_tree_segment_batch_matches_scalar_and_walk(tree_case):
 
 
 def test_tree_same_edge_segment_ends_at_y():
-    # x + 1.0 * (y - x) rounds past the edge end here; both paths clamp it to y
+    # x + 1.0 * (y - x) rounds past the edge end here; the kernel clamps it to y
     tree = make_metric_tree(MetricTreeSpec(("c", "d"), (("c", "d", 0.45),)))
     x, y = tree.point_on_edge(0, 0.022949999999999998), tree.node_point("d")
     assert x.offset + 1.0 * (y.offset - x.offset) > 0.45
-    assert tree._bicombing(x, y, 1.0) == y
-    P = tree.pack([x, y])
-    out = tree.points_from_packed(
-        tree.segment_batch(P, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 1.0]))
-    )
-    assert out == [tree._bicombing(x, y, 0.5), y,
-                   tree._bicombing(y, x, 0.5), tree._bicombing(y, x, 1.0)]
+    S = tree.segment_batch(tree.pack([x, y]), np.array([0, 1]), np.array([1, 0]),
+                           np.array([0.5, 1.0]))
+    assert _digest(S["edge"], S["off"]) == SAME_EDGE_DIGEST
+    assert tree.points_from_packed(S)[1] == y
+    assert evaluate_bicombing(tree, x, y, 0.5) == tree.points_from_packed(S)[0]
 
 
 def test_tree_dist_matrix_and_min_dist_match_scalar(tree_case):
     A = _tree_points(tree_case, 200, seed=14)
     B = _tree_points(tree_case, 150, seed=15)
     PA, PB = tree_case.pack(A), tree_case.pack(B)
-    want = np.array([[tree_case._distance(a, b) for b in B] for a in A])
-    assert np.array_equal(tree_case.dist_matrix(PA, PB), want)
-    assert np.array_equal(tree_case.min_dist(PA, PB), want.min(axis=1))
-    assert np.array_equal(tree_case.make_index(PB).min_dist(PA), want.min(axis=1))
-    assert np.array_equal(tree_case.paired_dist(PA, tree_case.pack(B + A[:50])),
-                          np.array([tree_case._distance(a, b) for a, b in zip(A, B + A[:50])]))
+    want = TREE_DIGESTS[len(tree_case.nodes)]
+    assert _digest(tree_case.dist_matrix(PA, PB)) == want["dist_matrix"]
+    assert _digest(tree_case.min_dist(PA, PB)) == want["row_minima"]
+    assert _digest(tree_case.make_index(PB).min_dist(PA)) == want["row_minima"]
+    assert _digest(tree_case.paired_dist(PA, tree_case.pack(B + A[:50]))) == want["paired"]
 
 
 def test_tree_space_state_unchanged_by_queries(tree_case):

@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bicombing_lab import (
-    BicombedSpace,
-    EuclideanPoint,
+    AxiomReport,
+    ConvexityWitness,
     InvalidInputError,
+    LpSpace,
     NormedSpaceSpec,
+    ProductPoint,
+    ProductSpaceSpec,
     canonical_key,
     check_axioms,
     distance,
@@ -21,7 +25,9 @@ from bicombing_lab import (
     evaluate_bicombing,
     hyperboloid,
     make_lp_space,
+    make_product,
     sample_segment,
+    star_tree,
 )
 
 coord = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
@@ -119,26 +125,35 @@ def test_check_axioms_constant_quadruple(plane):
     assert rep.max_idempotence_error == 0.0
 
 
-class _BumpedPlane(BicombedSpace):
-    """Deliberately broken segment map: a transverse bump at mid-parameter."""
+class _BumpedPlane(LpSpace):
+    """Deliberately broken segment map: a transverse bump at mid-parameter on
+    every non-degenerate segment."""
 
     description = "plane with bumped segments"
 
     def __init__(self):
-        self._base = make_lp_space(NormedSpaceSpec(2, 2.0))
+        super().__init__(NormedSpaceSpec(2, 2.0))
 
-    def validate_point(self, p):
-        self._base.validate_point(p)
+    def segment_batch(self, packed, I, J, ts):
+        S = super().segment_batch(packed, I, J, ts).reshape(len(I), len(ts), 2)
+        moving = (packed[I] != packed[J]).any(axis=1)
+        S[moving, :, 1] += 0.5 * np.sin(np.pi * np.asarray(ts))
+        return S.reshape(-1, 2)
 
-    def _distance(self, x, y):
-        return self._base._distance(x, y)
 
-    def _bicombing(self, x, y, t):
-        if x == y:
-            return x
-        base = self._base._bicombing(x, y, t)
-        bump = 0.5 * math.sin(math.pi * t)
-        return EuclideanPoint((base.coords[0], base.coords[1] + bump))
+class _DriftingPlane(LpSpace):
+    """Linear segments, except that a degenerate segment [p, p] sits 1e-6
+    off p, which only the idempotence check can see."""
+
+    description = "plane with drifting constant segments"
+
+    def __init__(self):
+        super().__init__(NormedSpaceSpec(2, 2.0))
+
+    def segment_batch(self, packed, I, J, ts):
+        S = super().segment_batch(packed, I, J, ts).reshape(len(I), len(ts), 2)
+        S[(packed[I] == packed[J]).all(axis=1), :, 0] += 1e-6
+        return S.reshape(-1, 2)
 
 
 def test_check_axioms_flags_broken_bicombing():
@@ -151,6 +166,103 @@ def test_check_axioms_flags_broken_bicombing():
     assert not rep.passed
     assert rep.worst_witness is not None
     assert rep.max_convexity_violation > 1e-3
+
+
+class _OneWayPlane(LpSpace):
+    """Segments that bulge by 0.25 sin(pi t) when they run towards larger
+    first coordinates and are straight otherwise, so [x, y](t) and
+    [y, x](1 - t) part by up to 0.25."""
+
+    description = "plane with one-way bulges"
+
+    def __init__(self):
+        super().__init__(NormedSpaceSpec(2, 2.0))
+
+    def segment_batch(self, packed, I, J, ts):
+        S = super().segment_batch(packed, I, J, ts).reshape(len(I), len(ts), 2)
+        rising = packed[I, 0] < packed[J, 0]
+        S[rising, :, 1] += 0.25 * np.sin(np.pi * np.asarray(ts))
+        return S.reshape(-1, 2)
+
+
+def test_check_axioms_symmetry_defect_compares_reversed_segment():
+    # both segments of the quadruple coincide, so f is 0 and the map passes;
+    # the symmetry defect is informative only
+    x, y = euclidean(0, 0), euclidean(1, 0)
+    rep = check_axioms(_OneWayPlane(), [(x, y, x, y)], grid=16, tol=1e-9)
+    assert rep.passed
+    assert rep.max_symmetry_defect == pytest.approx(0.25, rel=1e-12)
+
+
+def test_check_axioms_witness_is_first_largest_defect():
+    broken = _BumpedPlane()
+    # a mirrors b in the first coordinate, so their defects tie bit for bit;
+    # in c both segments bulge alike and the distance stays 1
+    a = (euclidean(0, 0), euclidean(1, 0), euclidean(0.5, -2), euclidean(0.5, -2))
+    b = (euclidean(0, 0), euclidean(-1, 0), euclidean(-0.5, -2), euclidean(-0.5, -2))
+    c = (euclidean(0, 0), euclidean(1, 0), euclidean(0, 1), euclidean(1, 1))
+    alone = check_axioms(broken, [a], grid=16, tol=1e-9)
+    assert check_axioms(broken, [b], grid=16, tol=1e-9).max_convexity_violation == (
+        alone.max_convexity_violation) > 1e-3
+    assert check_axioms(broken, [c], grid=16, tol=1e-9).max_convexity_violation <= 1e-12
+    rep = check_axioms(broken, [c, a, b, c], grid=16, tol=1e-9)
+    assert not rep.passed
+    assert rep.worst_witness == ConvexityWitness(*a, 7 / 16, 0.5, 9 / 16,
+                                                 alone.max_convexity_violation)
+    assert check_axioms(broken, [b, a], grid=16, tol=1e-9).worst_witness.x2 == b[2]
+    # below tol nothing is reported as a witness
+    assert check_axioms(broken, [a], grid=16, tol=1.0).worst_witness is None
+    empty = check_axioms(broken, [], grid=16, tol=1e-9)
+    assert empty == AxiomReport(0, 16, 0.0, 0.0, 0.0, 0.0, None, True)
+
+
+def test_check_axioms_measures_idempotence_on_the_kernel():
+    # the drift sits on [p, p] only; the quadruple's own segments are exact
+    quad = (euclidean(0, 0), euclidean(1, 0), euclidean(0, 1), euclidean(2, 3))
+    rep = check_axioms(_DriftingPlane(), [quad], grid=16, tol=1e-9)
+    assert not rep.passed
+    assert rep.max_idempotence_error == pytest.approx(1e-6, rel=1e-9)
+    assert rep.max_endpoint_error == 0.0
+    assert rep.max_convexity_violation <= 1e-12
+    assert check_axioms(make_lp_space(NormedSpaceSpec(2, 2.0)), [quad], grid=16,
+                        tol=1e-9).passed
+
+
+def _oracle_spaces():
+    """Criterion 1's lp, star and star x line spaces with point samplers, as
+    pytest params."""
+    cases = []
+    for n in (2, 3):
+        for p in (1.0, 2.0, math.inf):
+            space = make_lp_space(NormedSpaceSpec(n, p))
+            cases.append(pytest.param(
+                space, lambda rng, n=n: euclidean(*rng.uniform(-1, 1, n)), id=space.description))
+    star = star_tree(5)
+
+    def tree_sample(rng):
+        e = int(rng.integers(0, 5))
+        return star.point_on_edge(e, float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])))
+
+    cases.append(pytest.param(star, tree_sample, id="star"))
+    line = make_lp_space(NormedSpaceSpec(1, 2.0))
+    prod = make_product(ProductSpaceSpec(star, line))
+    cases.append(pytest.param(prod, lambda rng: ProductPoint(
+        tree_sample(rng), euclidean(float(rng.uniform(-1, 1)))), id="star_x_line"))
+    return cases
+
+
+@pytest.mark.parametrize("space, sampler", _oracle_spaces())
+def test_check_axioms_maxima_match_oracle(space, sampler):
+    rng = np.random.default_rng(61)
+    quads = [tuple(sampler(rng) for _ in range(4)) for _ in range(40)]
+    x, y = quads[0][:2]
+    quads += [(x, x, y, y), (x, y, y, x)]  # degenerate and reversed segments
+    rep = check_axioms(space, quads, grid=16, tol=space.base_tol)
+    want = oracles.axiom_defects(space, quads, grid=16)
+    got = (rep.max_endpoint_error, rep.max_idempotence_error,
+           rep.max_convexity_violation, rep.max_symmetry_defect)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+    assert rep.passed
 
 
 def test_check_axioms_rejects_small_grid(plane):
