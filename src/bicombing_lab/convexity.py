@@ -68,6 +68,10 @@ class PointNet:
         return self.space.make_index(self.packed)
 
     @cached_property
+    def chord_finder(self):
+        return self.space.make_chord_finder(self.packed)
+
+    @cached_property
     def diameter(self) -> float:
         D = self.space.dist_matrix(self.packed, self.packed)
         return float(D.max())

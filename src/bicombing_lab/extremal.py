@@ -8,13 +8,23 @@ through p's hit ball at a strictly interior parameter while both chord
 endpoints stay outside the exclusion radius delta.  The exclusion radius keeps
 chords that merely end near p from counting as crossings; without it every
 boundary point of a smooth set would be misclassified.
+
+One scan serves is_extremal_point and extremal_points.  Its candidate step
+comes from the net's chord finder (``BicombedSpace.make_chord_finder``, built
+once per net) and proposes a superset of the hitting chords: in lp spaces and
+l^2 x l^2 products, where segments are linear, a chord from x hits p's ball at
+t exactly when its other end lies within eps/t of the reflected point
+(p - (1-t)x)/t, so one ball query per (x, t) finds them; elsewhere the
+alignment filter d(i,p) + d(j,p) < d(i,j) + 2*eps over a dense distance
+matrix does.  Its confirm step evaluates every candidate with the space's
+``chord_dists`` and tests the strict ``< eps``, so verdicts rest only on
+evaluated chords.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,54 +101,37 @@ class ExtremalVerdict:
     witness: ChordWitness | None
 
 
-#: slack added to the chord alignment filter so float rounding in distances can
-#: never exclude a genuinely hitting chord
-_ALIGN_SLACK = 1e-9
+#: pairs in the confirm step's first chord batch; later batches double, up to
+#: a quarter of a distance block of chord entries
+_FIRST_BATCH = 64
 
 
-def _scan_chords(
-    space: BicombedSpace,
-    C: PointNet,
-    target_pack,
-    d_to_target: np.ndarray,
-    cand_idx: np.ndarray,
-    params: ExtremalParams,
-    pair_dists: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _first_chord(
+    space: BicombedSpace, C: PointNet, target, d_to_target: np.ndarray, params: ExtremalParams
 ) -> tuple[int, int, float] | None:
-    """Find a chord among candidate endpoints that hits the target ball.
+    """The first chord of C found to hit the target ball, as (i, j, t), i < j.
 
-    Only endpoints beyond delta qualify, and a hitting chord must satisfy
-    d(i,p) + d(j,p) < L + 2*eps: the sample at parameter t sits at distance
-    t*L and (1-t)*L from the endpoints of a constant-speed geodesic, so the
-    triangle inequality forces near-alignment.  Filtering on that necessary
-    condition prunes almost every pair without changing the outcome.
+    Endpoints qualify beyond delta.  The net's chord finder proposes a
+    superset of the hitting pairs (candidate step); each candidate is then
+    evaluated with ``chord_dists`` at its own (i, j) and every interior t, and
+    hits when a sample lies strictly within eps (confirm step).  A verdict thus
+    rests only on evaluated chords, never on the candidate arithmetic.
     """
-    elig = cand_idx[d_to_target[cand_idx] > params.delta]
+    elig = np.nonzero(d_to_target > params.delta)[0]
     if len(elig) < 2:
         return None
     ts = params.interior_ts()
-    A = d_to_target[elig]
-    budget = max(1, 2_000_000 // max(len(elig), 1))
-    for lo in range(0, len(elig) - 1, budget):
-        rows = elig[lo : lo + budget]
-        Lmat = pair_dists(rows, elig)
-        aligned = (A[lo : lo + budget, None] + A[None, :]) < (
-            Lmat + 2.0 * params.eps + _ALIGN_SLACK
-        )
-        aligned &= rows[:, None] < elig[None, :]
-        ri, ci = np.nonzero(aligned)
-        if not len(ri):
-            continue
-        I = rows[ri]
-        J = elig[ci]
-        step = max(1, 400_000 // max(len(ts), 1))
-        for s0 in range(0, len(I), step):
-            Ic, Jc = I[s0 : s0 + step], J[s0 : s0 + step]
-            dd = space.chord_dists(C.packed, Ic, Jc, ts, target_pack)[:, :, 0]
-            hits = dd < params.eps
+    batch, max_batch = _FIRST_BATCH, max(_FIRST_BATCH, BLOCK_ENTRIES // 4 // len(ts))
+    for I, J in C.chord_finder.candidates(target, d_to_target, elig, params.eps, ts):
+        lo = 0
+        while lo < len(I):
+            Ib, Jb = I[lo : lo + batch], J[lo : lo + batch]
+            hits = space.chord_dists(C.packed, Ib, Jb, ts, target)[:, :, 0] < params.eps
             if hits.any():
                 r, k = np.unravel_index(int(np.argmax(hits)), hits.shape)
-                return int(Ic[r]), int(Jc[r]), float(ts[k])
+                return int(Ib[r]), int(Jb[r]), float(ts[k])
+            lo += batch
+            batch = min(2 * batch, max_batch)
     return None
 
 
@@ -146,23 +139,19 @@ def is_extremal_point(
     space: BicombedSpace, C: PointNet, p: Point, params: ExtremalParams
 ) -> ExtremalVerdict:
     """Chord-crossing test for a single point: p fails to be extremal exactly
-    when some chord with both endpoints beyond delta passes within eps of p at
-    a strictly interior grid parameter."""
+    when some chord of stored points, both beyond delta from p, passes
+    strictly within eps of p at an interior grid parameter.
+
+    Runs the same scan as extremal_points; the witness is the first chord its
+    confirm step finds, with t_enter the first hitting parameter.
+    """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
     space.validate_point(p)
     dpx = space.dist_to_packed(p, C.packed)
     if float(dpx.min()) > params.eps:
         raise InvalidInputError("query point lies farther than eps from the net")
-
-    def pair_dists(rows, cols):
-        return space.dist_matrix(
-            space.packed_take(C.packed, rows), space.packed_take(C.packed, cols)
-        )
-
-    found = _scan_chords(
-        space, C, space.pack([p]), dpx, np.arange(len(C.points)), params, pair_dists
-    )
+    found = _first_chord(space, C, space.pack([p]), dpx, params)
     if found is None:
         return ExtremalVerdict(extremal=True, witness=None)
     i, j, t = found
@@ -196,32 +185,22 @@ def extremal_points(
 ) -> ExtremalScan:
     """All stored points of C passing the chord-crossing extremality test.
 
-    Each stored point is scanned with the same alignment-filtered chord search
-    as is_extremal_point, reusing one precomputed distance matrix; a first pass
-    restricted to endpoints in a thin ring just outside delta refutes most
-    refutable points cheaply before the exhaustive scan runs on the rest.
+    Every stored point is scanned as is_extremal_point scans a query point,
+    through the net's one chord finder.  In lp spaces and l^2 x l^2 products
+    its candidate step is one reflected-endpoint ball query per (x, t); in
+    every other space it is the alignment filter over one dense distance
+    matrix of C.  A point survives when no candidate chord confirms.
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
     m = len(C.points)
     if m == 1:
         return ExtremalScan(space, C.points, C.eps, None)
-    D = space.dist_matrix(C.packed, C.packed)
-    all_idx = np.arange(m)
-
-    def pair_dists(rows, cols):
-        return D[np.ix_(rows, cols)]
-
     pts: list[Point] = []
-    ring_width = params.delta + 4.0 * params.eps + C.eps
     for pi in range(m):
-        d_to_p = D[:, pi]
-        tpack = space.packed_take(C.packed, np.array([pi]))
-        ring = np.nonzero(d_to_p <= ring_width)[0]
-        found = _scan_chords(space, C, tpack, d_to_p, ring, params, pair_dists)
-        if found is None and len(ring) < m:
-            found = _scan_chords(space, C, tpack, d_to_p, all_idx, params, pair_dists)
-        if found is None:
+        target = space.packed_take(C.packed, np.array([pi]))
+        d_to_p = space.dist_matrix(C.packed, target)[:, 0]
+        if _first_chord(space, C, target, d_to_p, params) is None:
             pts.append(C.points[pi])
 
     diagnostic = None

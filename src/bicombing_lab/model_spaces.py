@@ -187,6 +187,11 @@ def _polyhedral_hull_dist(
 # ---------------------------------------------------------------------------
 
 
+def _joined(packed) -> np.ndarray:
+    """Coordinate rows of an lp set, or joined rows of an l^2 x l^2 set."""
+    return np.hstack(packed) if isinstance(packed, tuple) else packed
+
+
 class _KDTreeIndex:
     def __init__(self, data: np.ndarray, p: float):
         self.tree = cKDTree(data)
@@ -204,13 +209,61 @@ class _ProductJointIndex:
         self.tree = cKDTree(joint)
 
     def min_dist(self, packed_pair) -> np.ndarray:
-        q = (
-            np.hstack([packed_pair[0], packed_pair[1]])
-            if isinstance(packed_pair, tuple)
-            else np.atleast_2d(packed_pair)
-        )
+        q = np.atleast_2d(_joined(packed_pair))
         d, _ = self.tree.query(q, k=1, p=2.0, workers=worker_count())
         return np.atleast_1d(d)
+
+
+#: relative margin on the reflected ball radius, so rounding in the reflected
+#: centre or in the KD-tree's distances can never drop a hitting chord
+_BALL_MARGIN = 1e-9
+
+
+class _ReflectedChords:
+    """Candidate chords through a target ball by reflected-endpoint ball
+    queries, for a packed set whose segment map is linear in coordinates that
+    a p-norm measures (lp spaces; l^2 x l^2 products on joined coordinates).
+
+    On a linear chord (1-t)x + ty - q = t(y - y*) with y* = (q - (1-t)x)/t,
+    so its sample at t lies within eps of q exactly when y lies within eps/t
+    of y*.  The t grid is symmetric, so ordered pairs (x, y) at t >= 1/2
+    cover every chord at every t, with radii at most 2*eps.  One k = 1 query
+    per (x, t) proposes the nearest y; where such a y exists, the whole ball
+    follows, for the confirm step to fall back on when no nearest y confirms.
+    """
+
+    def __init__(self, packed, p: float):
+        self.coords, self.p = _joined(packed), p
+
+    def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
+                   eps: float, ts: np.ndarray):
+        """Yield (I, J) blocks, I < J: the nearest y of every (x, t), one t at
+        a time from t = 1/2 up, then every y in the balls where a nearest one
+        was found."""
+        X = self.coords[elig]
+        tree = cKDTree(X)  # queried on one thread: a few hundred points per call
+        q = _joined(target)[0]
+        balls = []
+        for t in ts[ts >= 0.5]:
+            r = eps / t * (1.0 + _BALL_MARGIN)
+            centres = (q - (1.0 - t) * X) / t
+            d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
+            hit = np.nonzero(np.isfinite(d))[0]
+            yield _ordered_pairs(elig, hit, k[hit])
+            balls.append((hit, centres[hit], r))
+        for hit, centres, r in balls:
+            found = tree.query_ball_point(centres, r, p=self.p)
+            counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+            ys = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64,
+                             count=int(counts.sum()))
+            yield _ordered_pairs(elig, np.repeat(hit, counts), ys)
+
+
+def _ordered_pairs(elig: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Stored-index pairs (I, J), I < J, of local pairs (xs, ys), x != y."""
+    keep = xs != ys
+    a, b = elig[xs[keep]], elig[ys[keep]]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 class _CoordinateRows:
@@ -272,6 +325,9 @@ class LpSpace(_CoordinateRows, BicombedSpace):
 
     def make_index(self, packed):
         return _KDTreeIndex(packed, self.p)
+
+    def make_chord_finder(self, packed):
+        return _ReflectedChords(packed, self.p)
 
     def segment_batch(self, packed, I, J, ts) -> np.ndarray:
         X = packed[I]
@@ -882,6 +938,11 @@ class ProductSpace(BicombedSpace):
         if self._joint_lp2:
             return _ProductJointIndex(np.hstack([packed[0], packed[1]]))
         return super().make_index(packed)
+
+    def make_chord_finder(self, packed):
+        if self._joint_lp2:
+            return _ReflectedChords(packed, 2.0)
+        return super().make_chord_finder(packed)
 
     def min_dist(self, A, B) -> np.ndarray:
         if self._joint_lp2:

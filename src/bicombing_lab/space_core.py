@@ -116,6 +116,40 @@ class _PackedIndex:
         return self.space.min_dist(packed_queries, self.packed)
 
 
+#: slack added to the chord alignment filter so float rounding in distances can
+#: never exclude a genuinely hitting chord
+_ALIGN_SLACK = 1e-9
+
+
+class _AlignedChords:
+    """Candidate chords through a target ball by the alignment filter, over
+    one dense distance matrix of a fixed packed point set.
+
+    A chord [i, j] whose sample at parameter t lies within eps of the target
+    sits at distance t*L and (1-t)*L from its endpoints (L = d(i, j), the
+    segment has constant speed), so the triangle inequality forces
+    d(i, target) + d(j, target) < L + 2*eps.  Every pair passing that
+    necessary condition is a candidate.
+    """
+
+    def __init__(self, space: "BicombedSpace", packed):
+        self.D = space.dist_matrix(packed, packed)
+
+    def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
+                   eps: float, ts: np.ndarray):
+        """Yield (I, J) blocks, I < J, of eligible pairs passing the filter."""
+        A = d_to_target[elig]
+        rows = max(1, BLOCK_ENTRIES // len(elig))
+        for lo in range(0, len(elig) - 1, rows):
+            R = elig[lo : lo + rows]
+            aligned = (A[lo : lo + rows, None] + A[None, :]) < (
+                self.D[np.ix_(R, elig)] + 2.0 * eps + _ALIGN_SLACK
+            )
+            aligned &= R[:, None] < elig[None, :]
+            ri, ci = np.nonzero(aligned)
+            yield R[ri], elig[ci]
+
+
 class BicombedSpace:
     """A metric space with a distinguished segment map.
 
@@ -187,6 +221,13 @@ class BicombedSpace:
     def make_index(self, packed) -> _PackedIndex:
         """Index for repeated nearest-distance queries against a fixed set."""
         return _PackedIndex(self, packed)
+
+    def make_chord_finder(self, packed) -> _AlignedChords:
+        """Candidate step of the extremal scan over a fixed packed set: its
+        ``candidates`` yield a superset of the stored pairs whose chords pass
+        within eps of a target.  Spaces whose segment map is linear in a p-norm
+        override this with reflected-endpoint ball queries."""
+        return _AlignedChords(self, packed)
 
     def chord_dists(
         self, packed, I: np.ndarray, J: np.ndarray, ts: np.ndarray, targets

@@ -17,25 +17,45 @@ from bicombing_lab import LpSpace, PointNet, ProductSpace, TreePoint, canonical_
 
 
 def int_grid_extremal(coords: np.ndarray, unit: int, h_num: int, h_den: int,
-                      delta_num: int, delta_den: int, t_grid: int) -> list[int]:
+                      delta_num: int, delta_den: int, t_grid: int,
+                      p: float = 2) -> list[int]:
     """Exact extremal scan for a net of integer-coordinate points.
 
     coords are integers on a lattice with `unit` lattice steps per coordinate
     unit; the hit radius is h_num/h_den and the exclusion radius
-    delta_num/delta_den (coordinate units).  All comparisons reduce to integer
-    inequalities, so the verdict carries no floating-point uncertainty.
+    delta_num/delta_den (coordinate units), both in the l^p norm for p in
+    {1, 2, inf} (the l^2 product of two Euclidean factors is l^2 on the joined
+    coordinates).  All comparisons reduce to integer inequalities: squared
+    norms for p = 2, sums and maxima of absolute values for p = 1 and
+    p = inf, so the verdict carries no floating-point uncertainty.
 
     Returns indices of points with no qualifying chord.
     """
+    if p not in (1, 2, math.inf):
+        raise ValueError(f"no exact integer norm for p = {p}")
     pts = np.asarray(coords, dtype=np.int64)
     m, dim = pts.shape
     g = t_grid + 1  # chord parameters k/g, k=1..g-1
 
-    # squared distances scaled by unit^2
+    def below(v, num, den, scale):
+        """Whether |v|_p < num/den * scale for integer vectors v."""
+        if p == 2:
+            return (v * v).sum(axis=-1) * (den * den) < (num * num) * (scale * scale)
+        a = np.abs(v)
+        n = a.sum(axis=-1) if p == 1 else a.max(axis=-1)
+        return n * den < num * scale
+
+    # delta comparison: d > delta  <=>  not |diff|_p <= delta; on integers
+    # |diff| * delta_den > delta_num * unit
     diff = pts[:, None, :] - pts[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    # delta comparison: d > delta  <=>  d2 * delta_den^2 > delta_num^2 * unit^2
-    qual = d2 * (delta_den * delta_den) > (delta_num * delta_num) * (unit * unit)
+    if p == 2:
+        qual = (diff * diff).sum(axis=2) * (delta_den * delta_den) > (
+            (delta_num * delta_num) * (unit * unit)
+        )
+    else:
+        a = np.abs(diff)
+        n = a.sum(axis=2) if p == 1 else a.max(axis=2)
+        qual = n * delta_den > delta_num * unit
 
     out = []
     ks = np.arange(1, g, dtype=np.int64)
@@ -49,10 +69,8 @@ def int_grid_extremal(coords: np.ndarray, unit: int, h_num: int, h_den: int,
             X = pts[i][None, None, :] * (g - ks)[None, :, None]
             Y = pts[js][:, None, :] * ks[None, :, None]
             T = pts[pi][None, None, :] * g
-            v = X + Y - T
-            q2 = (v * v).sum(axis=2)  # scaled by (g*unit)^2
-            # d < h  <=>  q2 * h_den^2 < h_num^2 * (g*unit)^2
-            if (q2 * (h_den * h_den) < (h_num * h_num) * (g * unit) * (g * unit)).any():
+            # d < h  <=>  |v| < h * g * unit
+            if below(X + Y - T, h_num, h_den, g * unit).any():
                 killed = True
                 break
         if not killed:

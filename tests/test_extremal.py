@@ -13,17 +13,36 @@ from bicombing_lab import (
     ConvexFunctional,
     ExtremalParams,
     InvalidInputError,
+    NormedSpaceSpec,
     PointNet,
+    ProductPoint,
     argmax_face,
     canonical_key,
     canonical_starts,
+    distance,
     euclidean,
+    evaluate_bicombing,
     extremal_points,
     hull_closure,
     is_extremal_point,
     is_extremal_set,
+    make_lp_space,
     minimal_extremal_descent,
 )
+
+
+#: spaces whose extremal scan runs on reflected-endpoint ball queries, by id;
+#: "l2xl2" is the product fixture l2(R^1) x l2(R^1)
+LINEAR = ["l2", "l1", "linf", "l2xl2"]
+
+
+@pytest.fixture
+def linear_space(request, product_space):
+    """(space, exponent on joined coordinates, point maker) for a LINEAR id."""
+    if request.param == "l2xl2":
+        return product_space, 2, lambda c: ProductPoint(euclidean(c[0]), euclidean(c[1]))
+    p = {"l2": 2, "l1": 1, "linf": math.inf}[request.param]
+    return make_lp_space(NormedSpaceSpec(2, float(p))), p, lambda c: euclidean(*c)
 
 
 def test_params_validation():
@@ -150,6 +169,117 @@ def test_batch_matches_single_point_scan(plane, grid_params):
     batch = set(scan.points)
     for p in C.points:
         assert (p in batch) == is_extremal_point(plane, C, p, params).extremal
+
+
+@pytest.mark.parametrize("linear_space", ["l1", "linf", "l2xl2"], indirect=True)
+def test_batch_matches_single_point_scan_in_other_norms(linear_space):
+    space, _, point = linear_space
+    xs = [round(k * 0.1, 10) for k in range(11)]
+    C = PointNet.build(space, [point((x, y)) for x in xs for y in xs], 0.1)
+    params = ExtremalParams(eps=0.04, delta=0.08, t_grid=7, face_tol=0.025)
+    batch = set(extremal_points(space, C, params).points)
+    for p in C.points:
+        assert (p in batch) == is_extremal_point(space, C, p, params).extremal
+
+
+def _lattice(shape: str) -> list[tuple[int, int]]:
+    """Integer points of a small region, in lattice steps of 1/10."""
+    if shape == "square":
+        return [(x, y) for x in range(11) for y in range(11)]
+    if shape == "triangle":
+        return [(x, y) for x in range(13) for y in range(13) if x + y <= 12]
+    return [(x, y) for x in range(-6, 7) for y in range(-6, 7) if x * x + y * y <= 36]
+
+
+@pytest.mark.parametrize("linear_space", ["l1", "linf", "l2xl2"], indirect=True)
+@pytest.mark.parametrize("shape", ["square", "triangle", "disk"])
+@pytest.mark.parametrize("h, delta, t_grid", [((1, 25), (2, 25), 7), ((7, 100), (3, 20), 8)])
+def test_extremal_points_match_integer_oracle(linear_space, shape, h, delta, t_grid):
+    # no chord sample or endpoint distance can tie a radius: h * (t_grid + 1)
+    # * 10 and delta * 10 are not integers, nor are their squares; an even
+    # t_grid has no sample at t = 1/2
+    space, p, point = linear_space
+    ints = _lattice(shape)
+    C = PointNet.build(space, [point((a / 10, b / 10)) for a, b in ints], 0.1)
+    params = ExtremalParams(eps=h[0] / h[1], delta=delta[0] / delta[1], t_grid=t_grid,
+                            face_tol=0.025)
+    got = set(extremal_points(space, C, params).points)
+    coords = np.hstack(C.packed) if isinstance(C.packed, tuple) else C.packed
+    idx = oracles.int_grid_extremal(np.rint(coords * 10).astype(int), 10, *h, *delta,
+                                    params.t_grid, p=p)
+    assert got == {C.points[i] for i in idx}
+    assert 0 < len(got) < len(C)
+
+
+@pytest.mark.parametrize("linear_space", LINEAR, indirect=True)
+def test_chord_sample_at_exactly_eps_does_not_kill(linear_space):
+    # dyadic chord (-1, 1/4)-(1, 1/4): its t = 1/2 sample (0, 1/4) lies at
+    # exactly eps from p = (0, 0) in every norm, and no sample lies closer
+    space, _, point = linear_space
+    p = point((0.0, 0.0))
+    C = PointNet.build(space, [p, point((-1.0, 0.25)), point((1.0, 0.25))], 0.25)
+    params = ExtremalParams(eps=0.25, delta=0.5, t_grid=7, face_tol=0.0625)
+    mid = evaluate_bicombing(space, C.points[0], C.points[2], 0.5)
+    assert distance(space, mid, p) == params.eps
+    assert p in extremal_points(space, C, params).points
+    assert is_extremal_point(space, C, p, params).extremal
+
+
+@pytest.mark.parametrize("linear_space", LINEAR, indirect=True)
+def test_chord_sample_just_inside_eps_kills(linear_space):
+    # the same net with (1, 1/4) lowered so the t = 1/2 sample lies at
+    # eps * (1 - 1e-12) from p
+    space, _, point = linear_space
+    p, x, y = point((0.0, 0.0)), point((-1.0, 0.25)), point((1.0, 0.25 * (1 - 2e-12)))
+    C = PointNet.build(space, [p, x, y], 0.25)
+    params = ExtremalParams(eps=0.25, delta=0.5, t_grid=7, face_tol=0.0625)
+    d_mid = distance(space, evaluate_bicombing(space, x, y, 0.5), p)
+    assert params.eps * (1 - 2e-12) < d_mid < params.eps
+    assert p not in extremal_points(space, C, params).points
+    verdict = is_extremal_point(space, C, p, params)
+    assert not verdict.extremal
+    assert {verdict.witness.x, verdict.witness.y} == {x, y}
+
+
+def test_kill_found_behind_a_tied_nearest_candidate(plane):
+    # From x at t = 5/8 the two other points both lie at exactly eps/t = 0.4
+    # (in float) from the reflected point (p - 3/8 x) / (5/8).  The chord
+    # through the first rounds to exactly eps (a miss), the chord through the
+    # second to just below eps (a hit).  The nearest-neighbour query may
+    # return either, so p must fall however the tie is broken: the whole ball
+    # is confirmed when the nearest candidate is not a hit.
+    p = euclidean(0.24458877673548357, -0.2166241048449145)
+    x = euclidean(0.31047974522953226, -1.152659770426373)
+    tied = euclidean(-0.19410540947598215, 0.31908186195097915)
+    hit = euclidean(0.6046242437098512, 0.3635385103406054)
+    C = PointNet.build(plane, [p, x, tied, hit], 0.25)
+    params = ExtremalParams(eps=0.25, delta=0.5, t_grid=7, face_tol=0.0625)
+    assert distance(plane, evaluate_bicombing(plane, tied, x, 3 / 8), p) == params.eps
+    assert distance(plane, evaluate_bicombing(plane, x, hit, 5 / 8), p) < params.eps
+    assert p not in extremal_points(plane, C, params).points
+    verdict = is_extremal_point(plane, C, p, params)
+    assert not verdict.extremal
+    assert (verdict.witness.x, verdict.witness.y, verdict.witness.t_enter) == (x, hit, 5 / 8)
+
+
+@pytest.mark.parametrize("linear_space", LINEAR, indirect=True)
+def test_point_witness_is_a_real_hit(linear_space):
+    space, _, point = linear_space
+    xs = [round(k * 0.1, 10) for k in range(11)]
+    C = PointNet.build(space, [point((x, y)) for x in xs for y in xs], 0.1)
+    params = ExtremalParams(eps=0.04, delta=0.08, t_grid=7, face_tol=0.025)
+    killed = 0
+    for p in C.points:
+        verdict = is_extremal_point(space, C, p, params)
+        if verdict.extremal:
+            continue
+        killed += 1
+        w = verdict.witness
+        assert distance(space, w.x, p) > params.delta
+        assert distance(space, w.y, p) > params.delta
+        assert 0.0 < w.t_enter < 1.0
+        assert distance(space, evaluate_bicombing(space, w.x, w.y, w.t_enter), p) < params.eps
+    assert killed > len(C) // 2
 
 
 def test_monotone_in_delta(plane, square_grid):

@@ -3,9 +3,12 @@
 Each case writes an instance with ``bicombing-lab gen``, runs one pipeline on
 it and compares the SHA-256 of the report with a recorded digest: the
 ``verify-km`` and ``hull`` cases at commit 4a5db54, before hull closure kept
-its samples as packed arrays, and the ``paper-checks`` and ``check-axioms``
-cases at commit bd95d23, while the scalar distance and segment evaluators
-still existed beside the batch kernels.  A refactor that keeps the lab's
+its samples as packed arrays, the ``paper-checks`` and ``check-axioms`` cases
+at commit bd95d23, while the scalar distance and segment evaluators still
+existed beside the batch kernels, and the ``verify-km`` cases on the step-0.1
+square and the product square and the ``extremal`` cases on the l-infinity
+ball and the simplex at commit 440a4b3, while the extremal scan still searched
+aligned chord pairs over a dense distance matrix.  A refactor that keeps the lab's
 arithmetic keeps every digest.  A change that moves a report must say which
 one and why, and record the new digest here.
 
@@ -43,6 +46,14 @@ GOLDEN = [
      "052ebefc8f726a9daea5629aa135f0c9472fc5bbd4f58899476c666ef899ea45"),
     ("check-axioms", ["tree_leaves"],
      "b082ee50d1746778bd55d6f17c7f20c10ffb67466de15b79560b3b6824a45da3"),
+    ("verify-km", ["square", "--step", "0.1"],
+     "43d54319f4eacad7659371ef92fc7b31158f1b50ed06a94e81ee4c3379888e40"),
+    ("verify-km", ["product_demo"],
+     "26876fc319d3be3e450f3c6957bb1870e9d3a8f97c7947f23c45ca8defaa51e2"),
+    ("extremal", ["lp_ball"],
+     "a1069b187502f0205b3120db6f37ea7a30e29f1c8dbb7bfb773c06fa4e0ece6c"),
+    ("extremal", ["simplex"],
+     "2cab8e4798cf1002365303e28d5f4523171f1404b5c28bb224cc4e2088caddc1"),
 ]
 
 
