@@ -213,27 +213,42 @@ def canonical_rows(space: BicombedSpace, packed) -> np.ndarray:
     return order[first]
 
 
+#: relative half-width of the band around eps/2 in which `_greedy_separate`
+#: re-decides an index distance with the space's exact ``min_dist``
+_TIE_BAND = 1e-9
+
+
 def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
     """Rows of the packed candidates that a greedy eps/2 separation keeps.
 
     Candidates are taken in row order, and each is kept when it lies at least
-    eps/2 from every earlier keeper.  Rows go in chunks of 512: one min_dist
-    call tests a chunk against the keepers of earlier chunks, and the rows that
-    pass are decided in order from their own distance matrix.  A row already
-    killed can neither be kept nor kill a later row, so it is left out.
+    eps/2 from every earlier keeper.  Rows go in chunks of 512.  A chunk is
+    tested against the keepers of earlier chunks through the space's nearest
+    index over them (a KD-tree on coordinate spaces).  An index distance
+    within eps/2 * (1 +- _TIE_BAND) is re-decided by the exact
+    ``space.min_dist``, so eps/2 ties fall as that exact distance says.  The
+    rows that pass are decided in order from their own distance matrix.  A
+    row already killed can neither be kept nor kill a later row, so it is
+    left out.
     """
     kept, n = [np.empty(0, dtype=np.int64)], space.packed_len(cands)
+    r = eps / 2
     for lo in range(0, n, 512):
         rows = np.arange(lo, min(lo + 512, n))
         if lo:
             acc = space.packed_take(cands, np.concatenate(kept))
-            rows = rows[space.min_dist(space.packed_take(cands, rows), acc) >= eps / 2]
+            chunk = space.packed_take(cands, rows)
+            d = space.make_index(acc).min_dist(chunk)
+            tie = np.nonzero(np.abs(d - r) <= r * _TIE_BAND)[0]
+            if len(tie):
+                d[tie] = space.min_dist(space.packed_take(chunk, tie), acc)
+            rows = rows[d >= r]
         alive = space.packed_take(cands, rows)
         D = space.dist_matrix(alive, alive)
         ok = np.ones(len(rows), dtype=bool)
         for i in range(len(rows)):
             if ok[i]:
-                ok[i + 1 :] &= D[i + 1 :, i] >= eps / 2
+                ok[i + 1 :] &= D[i + 1 :, i] >= r
         kept.append(rows[ok])
     return np.concatenate(kept)
 
@@ -276,12 +291,16 @@ def hull_closure(
     containing the seed.
 
     Each round samples every segment between current net points at
-    segment_samples+1 parameters.  Samples at least eps/2 from the net stay
-    packed rows; joined once per round, they pass in canonical order
-    (``canonical_rows``) through ``_greedy_separate``, and only the rows it
-    accepts become ``Point`` objects in the net, so the result does not depend
-    on scan order.  Stops at the first round that inserts nothing, or returns
-    converged=False when max_rounds is exhausted.
+    segment_samples+1 parameters.  The round's index picks the samples at
+    least eps/2 from the net (``far_rows``).  The KD indexes of coordinate
+    nets skip the query of every sample whose grid cell they certify to lie
+    within eps/2 of the net (cell centre's distance plus half-diagonal below
+    eps/2), and query the rest as ``min_dist`` does, so the same samples are
+    kept.  They stay packed rows; joined once per round, they pass in
+    canonical order (``canonical_rows``) through ``_greedy_separate``, and
+    only the rows it accepts become ``Point`` objects in the net, so the
+    result does not depend on scan order.  Stops at the first round that
+    inserts nothing, or returns converged=False when max_rounds is exhausted.
     """
     if seed.space is not space:
         raise InvalidInputError("seed net belongs to a different space")
@@ -309,7 +328,7 @@ def hull_closure(
         survivors = []
         for I, J in _pair_blocks(n_old, n_total, round_no == 1, block_pairs):
             S = space.segment_batch(packed, I, J, ts)
-            keep = np.nonzero(index.min_dist(S) >= eps / 2)[0]
+            keep = index.far_rows(S, eps / 2)
             if len(keep):
                 survivors.append(space.packed_take(S, keep))
         if not survivors:

@@ -192,26 +192,106 @@ def _joined(packed) -> np.ndarray:
     return np.hstack(packed) if isinstance(packed, tuple) else packed
 
 
+#: cell side of the cover grid in `_KDTreeIndex.far_rows`, as a fraction of
+#: the radius r: eps/8 for hull closure's r = eps/2
+_COVER_CELL = 0.25
+#: relative margin of the cell certificate, for rounding in the KD distances,
+#: the cell centres and the cell of a query
+_COVER_MARGIN = 1e-9
+#: query rows per slice of the cell test, to keep its temporaries small
+_COVER_SLICE = 1 << 15
+
+
 class _KDTreeIndex:
+    """KD-tree over coordinate rows, measured in the p-norm."""
+
     def __init__(self, data: np.ndarray, p: float):
         self.tree = cKDTree(data)
         self.p = p
+        self._cover = None
 
     def min_dist(self, queries: np.ndarray) -> np.ndarray:
-        d, _ = self.tree.query(np.atleast_2d(queries), k=1, p=self.p, workers=worker_count())
+        return self._nearest(np.atleast_2d(queries))
+
+    def _nearest(self, Q: np.ndarray) -> np.ndarray:
+        d, _ = self.tree.query(Q, k=1, p=self.p, workers=worker_count())
         return np.atleast_1d(d)
 
+    def far_rows(self, queries: np.ndarray, r: float) -> np.ndarray:
+        """Rows of the queries at nearest distance >= r; always exactly
+        ``np.nonzero(self.min_dist(queries) >= r)[0]``.
 
-class _ProductJointIndex:
-    """KDTree over joined coordinates; queries arrive as (left, right) packed pairs."""
+        A query whose grid cell is covered (see ``_grid``) lies within r of
+        the set by the triangle inequality, and is answered without a KD
+        query; every other query, a query off the grid included, takes the
+        same KD query as ``min_dist``.  The grid is built at the first call
+        with at least as many queries as it has cells.
+        """
+        S = np.atleast_2d(queries)
+        if self._cover is None or self._cover[0] != r:
+            grid = self._grid(r)
+            if grid is None or np.prod(grid[2]) > len(S):
+                return np.nonzero(self.min_dist(S) >= r)[0]
+            self._cover = (r, *self._covered_cells(*grid))
+        _, lo, h, table = self._cover
+        cells = np.array(table.shape)
+        open_rows = [np.empty(0, dtype=np.intp)]
+        for a in range(0, len(S), _COVER_SLICE):
+            k = np.floor((S[a : a + _COVER_SLICE] - lo) / h)
+            inside = np.nonzero(((k >= 0) & (k < cells)).all(axis=1))[0]
+            covered = np.zeros(len(k), dtype=bool)
+            covered[inside] = table[tuple(k[inside].astype(np.intp).T)]
+            open_rows.append(a + np.nonzero(~covered)[0])
+        rows = np.concatenate(open_rows)
+        return rows[self.min_dist(S[rows]) >= r]
 
-    def __init__(self, joint: np.ndarray):
-        self.tree = cKDTree(joint)
+    def _grid(self, r: float):
+        """(lo, h, cells, limit): a grid of side h over the bounding box of
+        the set, from corner lo, with `cells` cells per axis (at most
+        BLOCK_ENTRIES in all), and the KD distance below which a cell centre
+        certifies its whole cell.  Every point of a cell lies within r of the
+        set when the centre's distance plus the cell's half-diagonal
+        h/2 * n^(1/p) is below r.  `limit` takes a relative margin off r, the
+        half-diagonal and the largest coordinate, which bounds the rounding
+        of cell centres and of a query's cell.  None when no cell can be
+        certified.
+        """
+        if not r > 0:
+            return None
+        lo, hi = self.tree.mins, self.tree.maxes
+        h = _COVER_CELL * r
+        while math.prod((np.floor((hi - lo) / h) + 1).tolist()) > BLOCK_ENTRIES:
+            h *= 2.0
+        cells = (np.floor((hi - lo) / h) + 1).astype(np.intp)
+        half_diag = h / 2 * (1.0 if math.isinf(self.p) else len(lo) ** (1.0 / self.p))
+        scale = max(np.abs(lo).max(), np.abs(hi).max())
+        limit = (r * (1 - _COVER_MARGIN) - half_diag * (1 + _COVER_MARGIN)
+                 - _COVER_MARGIN * scale)
+        return (lo, h, cells, limit) if limit > 0 else None
+
+    def _covered_cells(self, lo, h, cells, limit):
+        """(lo, h, table): the grid with its certified cells marked in a
+        boolean table of shape `cells`."""
+        flat = np.arange(int(np.prod(cells)))
+        covered = np.empty(len(flat), dtype=bool)
+        for a in range(0, len(flat), _COVER_SLICE):
+            k = np.stack(np.unravel_index(flat[a : a + _COVER_SLICE], cells), axis=1)
+            covered[a : a + len(k)] = self.min_dist(lo + (k + 0.5) * h) < limit
+        return lo, h, covered.reshape(cells)
+
+
+class _ProductJointIndex(_KDTreeIndex):
+    """KD index over joined l^2 x l^2 coordinates; queries arrive as (left,
+    right) packed pairs, or already joined."""
+
+    def __init__(self, packed_pair):
+        super().__init__(_joined(packed_pair), 2.0)
 
     def min_dist(self, packed_pair) -> np.ndarray:
-        q = np.atleast_2d(_joined(packed_pair))
-        d, _ = self.tree.query(q, k=1, p=2.0, workers=worker_count())
-        return np.atleast_1d(d)
+        return self._nearest(np.atleast_2d(_joined(packed_pair)))
+
+    def far_rows(self, packed_pair, r: float) -> np.ndarray:
+        return super().far_rows(_joined(packed_pair), r)
 
 
 #: relative margin on the reflected ball radius, so rounding in the reflected
@@ -936,7 +1016,7 @@ class ProductSpace(BicombedSpace):
 
     def make_index(self, packed):
         if self._joint_lp2:
-            return _ProductJointIndex(np.hstack([packed[0], packed[1]]))
+            return _ProductJointIndex(packed)
         return super().make_index(packed)
 
     def make_chord_finder(self, packed):
@@ -946,7 +1026,7 @@ class ProductSpace(BicombedSpace):
 
     def min_dist(self, A, B) -> np.ndarray:
         if self._joint_lp2:
-            return _ProductJointIndex(np.hstack([B[0], B[1]])).min_dist(A)
+            return self.make_index(B).min_dist(A)
         return super().min_dist(A, B)
 
     def segment_batch(self, packed, I, J, ts):

@@ -115,6 +115,10 @@ class _PackedIndex:
     def min_dist(self, packed_queries) -> np.ndarray:
         return self.space.min_dist(packed_queries, self.packed)
 
+    def far_rows(self, packed_queries, r: float) -> np.ndarray:
+        """Rows of the queries at nearest distance >= r."""
+        return np.nonzero(self.min_dist(packed_queries) >= r)[0]
+
 
 #: slack added to the chord alignment filter so float rounding in distances can
 #: never exclude a genuinely hitting chord

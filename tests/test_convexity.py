@@ -496,18 +496,152 @@ def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, requ
     assert PointNet.build(space, shuffled, eps).points == tuple(want)
 
 
-@pytest.mark.parametrize("step, kept", [(0.125, 33 * 33), (0.0625, 17 * 17)])
-def test_greedy_separation_keeps_exact_half_eps_gaps(plane, step, kept):
+def _raster_space(name):
+    """A 2-coordinate space for the raster tests, with its point maker."""
+    if name == "l2xl2":
+        seg = make_lp_space(NormedSpaceSpec(1, 2.0))
+        pair = lambda x, y: ProductPoint(euclidean(x), euclidean(y))  # noqa: E731
+        return make_product(ProductSpaceSpec(seg, seg)), pair
+    p = {"l1": 1.0, "l2": 2.0, "linf": math.inf}[name]
+    return make_lp_space(NormedSpaceSpec(2, p)), euclidean
+
+
+_HALF_EPS_CASES = [(name, step, kept) for name in ("l2", "l1", "linf", "l2xl2")
+                   for step, kept in ((0.125, 33 * 33), (0.0625, 17 * 17))]
+
+
+@pytest.mark.parametrize("name, step, kept", _HALF_EPS_CASES,
+                         ids=[f"{step}-{kept}" + ("" if name == "l2" else f"-{name}")
+                              for name, step, kept in _HALF_EPS_CASES])
+def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypatch):
     # dyadic 33 x 33 raster, so every axis gap is exact: at step 0.125 all
     # gaps equal eps/2 and every point is kept; at 0.0625 every other point
-    # is killed and the survivors tie at exactly eps/2
+    # is killed and the survivors tie at exactly eps/2 (in l1 the diagonal
+    # neighbours tie too, and the keepers form a checkerboard).  The raster spans
+    # more than 512 rows, so ties reach the nearest-index test against
+    # earlier chunks, and within it the exact min_dist of the tie band.
+    space, point = _raster_space(name)
     eps = 0.25
-    pts = [euclidean(i * step, j * step) for i in range(33) for j in range(33)]
-    want = oracles.greedy_separation(plane, pts, eps)
-    assert len(want) == kept
-    rows = _greedy_separate(plane, plane.pack(pts), eps)
+    pts = [point(i * step, j * step) for i in range(33) for j in range(33)]
+    want = oracles.greedy_separation(space, pts, eps)
+    assert len(want) == (kept + 16 * 16 if name == "l1" and step == 0.0625 else kept)
+    band_rows = []
+    exact = space.min_dist
+
+    def counted(A, B):
+        band_rows.append(space.packed_len(A))
+        return exact(A, B)
+
+    monkeypatch.setattr(space, "min_dist", counted)
+    rows = _greedy_separate(space, space.pack(pts), eps)
     assert [pts[i] for i in rows] == want
-    assert PointNet.build(plane, pts[::-1], eps).points == tuple(want)
+    assert sum(band_rows) > 0
+    assert PointNet.build(space, pts[::-1], eps).points == tuple(want)
+
+
+# ---------------------------------------------------------------------------
+# far_rows: nearest queries that skip the rows of certified grid cells
+# ---------------------------------------------------------------------------
+
+
+def _cover_net(case, rng):
+    """(net rows, r) for the far_rows cases."""
+    if case == "random":
+        return rng.uniform(0, 1, (300, 2)), 0.05
+    if case == "raster":  # dyadic, every axis gap exactly r = eps/2
+        g = np.arange(17) / 16
+        return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), 1 / 16
+    if case == "collinear":  # the y axis of the box has zero width
+        return np.column_stack([rng.uniform(0, 1, 60), np.full(60, 0.3)]), 0.04
+    if case in ("flat20", "flat30"):  # a line in R^20 or R^30: all but one axis flat
+        P = np.full((60, int(case[4:])), 0.3)
+        P[:, 0] = rng.uniform(0, 1, 60)
+        return P, 0.04
+    if case == "r8":  # the cell grid coarsens until no cell can be covered
+        return rng.uniform(0, 1, (200, 8)), 0.1
+    # a line with non-dyadic corner and radius whose second point sits on a
+    # cell edge, so the points at distance r from it sit on cell edges too:
+    # there a cell's certificate is tight, and rounding decides it
+    lo, r = rng.uniform(-1, 1), rng.uniform(0.03, 0.07)
+    h = r / 4
+    return np.array([[lo], [lo + 2 * h], [lo + 2 * h + 5 * r], [lo + 40 * h]]), r
+
+
+def _cover_queries(P, r, rng):
+    """Uniform points over the net's box grown by 2r (so some lie off the
+    grid), far points, segment samples between net points, and probes at
+    distance about r from net points along each axis, with their float
+    neighbours."""
+    lo, hi = P.min(axis=0) - 2 * r, P.max(axis=0) + 2 * r
+    n = P.shape[1]
+    parts = [rng.uniform(lo, hi, (8000, n)), np.vstack([lo - 10, hi + 10])]
+    I, J = rng.integers(len(P), size=(2, 300))
+    t = (np.arange(1, 8) / 8)[:, None, None]
+    parts.append(((1 - t) * P[I] + t * P[J]).reshape(-1, n))
+    X = P[rng.permutation(len(P))[:40]]
+    for axis in range(n):
+        for sign in (-1.0, 1.0):
+            probe = X.copy()
+            probe[:, axis] += sign * r
+            for steps in range(-3, 4):
+                moved = probe.copy()
+                for _ in range(abs(steps)):
+                    moved[:, axis] = np.nextafter(moved[:, axis], np.sign(steps) * np.inf)
+                parts.append(moved)
+    return np.vstack(parts)
+
+
+def _lp_or_joined_index(kind, P):
+    """The index of an lp space on the rows P, or of the l2 x l2 product that
+    splits their coordinates; with the map from rows to its queries."""
+    n = P.shape[1]
+    if kind == "l2xl2":
+        a = n // 2
+        space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(a, 2.0)),
+                                              make_lp_space(NormedSpaceSpec(n - a, 2.0))))
+        split = lambda X: (X[:, :a].copy(), X[:, a:].copy())  # noqa: E731
+        return space.make_index(split(P)), split
+    return make_lp_space(NormedSpaceSpec(n, kind)).make_index(P), lambda X: X
+
+
+_FAR_ROWS_CASES = [(kind, case) for case in ("random", "raster", "collinear", "line", "r8")
+                   for kind in (1.0, 2.0, math.inf, "l2xl2")
+                   if not (kind == "l2xl2" and case == "line")]  # a product needs 2 axes
+# one cell per flat axis: the grid stays small however many axes are flat; in
+# l2 the cell centres sit too far off the line to certify, in linf they do not
+_FAR_ROWS_CASES += [(2.0, "flat30"), ("l2xl2", "flat30"), (math.inf, "flat20")]
+
+
+@pytest.mark.parametrize("kind, case", _FAR_ROWS_CASES,
+                         ids=[f"{case}-{kind if kind == 'l2xl2' else f'l{kind:g}'}"
+                              for kind, case in _FAR_ROWS_CASES])
+def test_far_rows_match_min_dist(kind, case, monkeypatch):
+    seeds = range(40) if case == "line" else [51]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        P, r = _cover_net(case, rng)
+        Q = _cover_queries(P, r, rng)
+        index, as_queries = _lp_or_joined_index(kind, P)
+        want = np.nonzero(index.min_dist(as_queries(Q)) >= r)[0]
+        assert 0 < len(want) < len(Q)
+        queried = []
+        nearest = index.min_dist
+
+        def counted(A):
+            out = nearest(A)
+            queried.append(len(out))
+            return out
+
+        monkeypatch.setattr(index, "min_dist", counted)
+        got = index.far_rows(as_queries(Q), r)
+        assert got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, want)
+        if case == "r8":
+            assert queried == [len(Q)]  # no cell centre queried, every row queried
+        elif case == "flat30":
+            assert queried[-1] == len(Q)  # a grid of 101 cells, none covered
+        elif seed == seeds[0]:
+            assert queried[-1] < len(Q)  # after the cell centres, the rows left open
 
 
 # ---------------------------------------------------------------------------

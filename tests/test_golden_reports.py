@@ -8,9 +8,12 @@ at commit bd95d23, while the scalar distance and segment evaluators still
 existed beside the batch kernels, and the ``verify-km`` cases on the step-0.1
 square and the product square and the ``extremal`` cases on the l-infinity
 ball and the simplex at commit 440a4b3, while the extremal scan still searched
-aligned chord pairs over a dense distance matrix.  A refactor that keeps the lab's
-arithmetic keeps every digest.  A change that moves a report must say which
-one and why, and record the new digest here.
+aligned chord pairs over a dense distance matrix, and the ``hull`` cases on the
+l1 and l-infinity balls at commit ac73f71, while hull closure still queried
+every segment sample and greedy separation tested keepers by dense blocks
+(they pin the l1 and l-infinity half-diagonals of the cell cover).  A refactor
+that keeps the lab's arithmetic keeps every digest.  A change that moves a
+report must say which one and why, and record the new digest here.
 
 The digests pin floating-point rounding, and the numpy build and its BLAS
 take part in it (hyperbolic distances go through a BLAS matrix product).  They
@@ -54,11 +57,21 @@ GOLDEN = [
      "a1069b187502f0205b3120db6f37ea7a30e29f1c8dbb7bfb773c06fa4e0ece6c"),
     ("extremal", ["simplex"],
      "2cab8e4798cf1002365303e28d5f4523171f1404b5c28bb224cc4e2088caddc1"),
+    ("hull", ["lp_ball", "--p", "1"],
+     "be3f6079196b0e6db3563dbe0e870b74e079583f556768460858675beb2b4361"),
+    ("hull", ["lp_ball"],
+     "d8b08094411a7608e6500cb35d78e6c00356dd9d4e14a148dc0aa73f7f02b230"),
 ]
 
 
+def _case_id(command, gen_args):
+    """command-kind, plus the exponent where --p is given."""
+    p = f"-p{gen_args[gen_args.index('--p') + 1]}" if "--p" in gen_args else ""
+    return f"{command}-{gen_args[0]}{p}"
+
+
 @pytest.mark.parametrize("command, gen_args, digest", GOLDEN,
-                         ids=[f"{c}-{g[0]}" for c, g, _ in GOLDEN])
+                         ids=[_case_id(c, g) for c, g, _ in GOLDEN])
 def test_report_digest(tmp_path, command, gen_args, digest):
     inst, report = tmp_path / "instance.json", tmp_path / "report.json"
     assert main(["gen", *gen_args, "--out", str(inst)]) == 0

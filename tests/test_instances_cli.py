@@ -132,6 +132,21 @@ def test_cli_reports_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes(), sub
 
 
+def test_cli_verify_km_times_phases_on_stderr_only(tmp_path, capsys):
+    inst, a, b = tmp_path / "tree.json", tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gen", "tree_leaves", "--leaves", "3", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["verify-km", "--instance", str(inst), "--out", str(a)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("verify-km: pass in ")
+    assert [line.split(":")[0].strip() for line in err[1:]] == [
+        "seed_hull_s", "extremal_s", "hull_s", "hausdorff_s"]
+    assert main(["verify-km", "--instance", str(inst), "--out", str(b), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert a.read_bytes() == b.read_bytes()
+    assert "seed_hull_s" not in a.read_text()
+
+
 def test_cli_square_gen_contract(tmp_path):
     out = tmp_path / "sq.json"
     assert main(["gen", "square", "--step", "0.05", "--out", str(out)]) == 0
