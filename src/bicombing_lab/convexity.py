@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .space_core import BicombedSpace, InvalidInputError, Point
+from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +73,16 @@ class PointNet:
 
     @cached_property
     def diameter(self) -> float:
-        D = self.space.dist_matrix(self.packed, self.packed)
-        return float(D.max())
+        """Largest stored distance, as the maximum of the row blocks that
+        ``dist_matrix`` forms, one block at a time."""
+        n = len(self.points)
+        rows = max(1, BLOCK_ENTRIES // n)
+        return max(
+            float(self.space.dist_matrix(
+                self.space.packed_take(self.packed, np.arange(lo, min(lo + rows, n))),
+                self.packed).max())
+            for lo in range(0, n, rows)
+        )
 
 
 def dist_to_net(space: BicombedSpace, K: PointNet, x: Point) -> float:
@@ -227,9 +235,10 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
     index over them (a KD-tree on coordinate spaces).  An index distance
     within eps/2 * (1 +- _TIE_BAND) is re-decided by the exact
     ``space.min_dist``, so eps/2 ties fall as that exact distance says.  The
-    rows that pass are decided in order from their own distance matrix.  A
-    row already killed can neither be kept nor kill a later row, so it is
-    left out.
+    rows that pass are decided in order from their pairs closer than eps/2
+    (``space.close_pairs``): a row still alive when its turn comes is kept
+    and kills its later partners.  A row already killed can neither be kept
+    nor kill a later row, so it is left out.
     """
     kept, n = [np.empty(0, dtype=np.int64)], space.packed_len(cands)
     r = eps / 2
@@ -243,12 +252,12 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
             if len(tie):
                 d[tie] = space.min_dist(space.packed_take(chunk, tie), acc)
             rows = rows[d >= r]
-        alive = space.packed_take(cands, rows)
-        D = space.dist_matrix(alive, alive)
+        I, J = space.close_pairs(space.packed_take(cands, rows), r)
         ok = np.ones(len(rows), dtype=bool)
-        for i in range(len(rows)):
+        heads, firsts = np.unique(I, return_index=True)
+        for i, a, b in zip(heads.tolist(), firsts.tolist(), firsts[1:].tolist() + [len(I)]):
             if ok[i]:
-                ok[i + 1 :] &= D[i + 1 :, i] >= r
+                ok[J[a:b]] = False
         kept.append(rows[ok])
     return np.concatenate(kept)
 

@@ -294,9 +294,21 @@ class _ProductJointIndex(_KDTreeIndex):
         return super().far_rows(_joined(packed_pair), r)
 
 
-#: relative margin on the reflected ball radius, so rounding in the reflected
-#: centre or in the KD-tree's distances can never drop a hitting chord
+#: relative margin on KD-tree radii (the reflected ball radius, the close-pair
+#: radius), so rounding in the reflected centre or in the KD-tree's distances
+#: can never drop a hitting chord or a close pair
 _BALL_MARGIN = 1e-9
+
+
+def _kd_close_pairs(space, packed, r: float, p: float):
+    """``close_pairs`` of a coordinate space whose ``_dist_block`` entries
+    equal its ``paired_dist``: pairs within r (1 + _BALL_MARGIN) by KD-tree
+    distance in the p-norm, kept where the exact ``paired_dist`` is below r."""
+    pairs = cKDTree(_joined(packed)).query_pairs(r * (1.0 + _BALL_MARGIN), p=p,
+                                                 output_type="ndarray")
+    I, J = pairs[np.lexsort(pairs.T[::-1])].T
+    close = space.paired_dist(space.packed_take(packed, J), space.packed_take(packed, I)) < r
+    return I[close], J[close]
 
 
 class _ReflectedChords:
@@ -408,6 +420,9 @@ class LpSpace(_CoordinateRows, BicombedSpace):
 
     def make_chord_finder(self, packed):
         return _ReflectedChords(packed, self.p)
+
+    def close_pairs(self, packed, r: float):
+        return _kd_close_pairs(self, packed, r, self.p)
 
     def segment_batch(self, packed, I, J, ts) -> np.ndarray:
         X = packed[I]
@@ -630,6 +645,15 @@ _ROUTE_ENDS = (
 )
 
 
+def _edge_keys(P: dict) -> np.ndarray:
+    """Complex keys edge + i*offset of packed tree points: numpy orders
+    complex values by real part, then imaginary part, so they sort and
+    search by (edge, offset)."""
+    key = np.empty(len(P["edge"]), dtype=np.complex128)
+    key.real, key.imag = P["edge"], P["off"]
+    return key
+
+
 class TreeSpace(BicombedSpace):
     """Edge-weighted tree with path-length distance and the unique-geodesic
     segment map (walk at constant speed along the connecting path).
@@ -638,7 +662,9 @@ class TreeSpace(BicombedSpace):
     canonicalized to the smallest incident edge index so point equality is
     decidable.  Construction tabulates, for every ordered node pair (u, v),
     the path length d(u, v) and the first edge of the path from u to v (two
-    N x N tables); distances and segment walks only read them.
+    N x N tables); distances and segment walks only read them.  Nearest
+    distances (``min_dist``) read one column per node at an end of an edge
+    holding target points, not one per target point.
     """
 
     def __init__(self, spec: MetricTreeSpec):
@@ -826,11 +852,61 @@ class TreeSpace(BicombedSpace):
             d[r, c] = np.abs(A["off"][r] - B["off"][c])
         return d
 
+    def min_dist(self, A, B) -> np.ndarray:
+        """Row minima of ``dist_matrix(A, B)``, bit for bit, without forming
+        it.
+
+        A route term is fl(fl(leg_a + d(exit, entry)) + leg_b).  Over the B
+        points that enter at one node it never decreases as leg_b grows, so
+        its least value is fl(s + least leg_b).  B thus collapses to one
+        column per node at an end of a B edge, holding the least leg from a
+        B point to that node: two terms per column (the query leaves by its
+        tail or its head) instead of four per B point.  Where A and B points
+        share an edge the matrix holds |offset difference| instead; their
+        route terms can stay in, as none is below it in floating point
+        either (each adds nonnegative terms to one at least as large as the
+        difference).  Each query takes |offset difference| to the B offsets
+        just at or below and just above its own on its edge, found by one
+        search of B sorted by (edge, offset).
+        """
+        ends = np.concatenate([B["tail"], B["head"]])
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        starts = np.nonzero(np.concatenate(([True], ends[1:] != ends[:-1])))[0]
+        node = ends[starts]
+        least = np.minimum.reduceat(np.concatenate([B["to_tail"], B["to_head"]])[order], starts)
+
+        best = self._own_edge_dist(A, B)
+        table, n = self._dist.ravel(), len(self._dist)
+        for rows in _row_blocks(len(best), len(node)):
+            for leg, exit in (("to_tail", "tail"), ("to_head", "head")):
+                term = table.take(A[exit][rows, None] * n + node)
+                np.add(A[leg][rows, None], term, out=term)
+                term += least
+                np.minimum(best[rows], term.min(axis=1), out=best[rows])
+        return best
+
+    def _own_edge_dist(self, A, B) -> np.ndarray:
+        """|offset difference| from each row of A to the nearest B point on
+        its own edge, inf where its edge holds none."""
+        key = _edge_keys(B)
+        order = np.argsort(key, kind="stable")
+        above = np.searchsorted(key[order], _edge_keys(A), side="right")
+        # rows -1 and nb both read the pad, whose edge no query is on
+        edge = np.concatenate((B["edge"][order], [-1]))
+        off = np.concatenate((B["off"][order], [0.0]))
+        best = np.full(len(above), np.inf)
+        for pos in (above - 1, above):
+            near = np.where(edge[pos] == A["edge"], np.abs(A["off"] - off[pos]), np.inf)
+            np.minimum(best, near, out=best)
+        return best
+
     def segment_batch(self, packed, I, J, ts):
         """Constant-speed walks along the connecting paths, all samples at
         once.  On one edge a sample is x + t (y - x), clamped to the edge.
-        Otherwise the route is the first minimal route term, and samples past
-        their first leg walk their node paths in lockstep, one edge per step,
+        Otherwise the route is the first minimal route term; samples within
+        their first leg stay on x's edge, also clamped to it, and samples past
+        it walk their node paths in lockstep, one edge per step,
         each subtracting its edge lengths in path order.  Samples of x == y
         stay x."""
         ts = np.asarray(ts, dtype=np.float64)
@@ -851,7 +927,9 @@ class TreeSpace(BicombedSpace):
         exit_is_tail = k < 2
         leg = np.where(exit_is_tail, x["to_tail"], x["to_head"])
         near = s <= leg
-        off[far[near]] = np.where(exit_is_tail, x["off"] - s, x["off"] + s)[near]
+        # x + s can round past the head even though s <= to_head: clamp it
+        ahead = np.minimum(x["off"] + s, self._len[x["edge"]])
+        off[far[near]] = np.where(exit_is_tail, x["off"] - s, ahead)[near]
 
         walk = ~near
         idx, s = far[walk], (s - leg)[walk]
@@ -1028,6 +1106,11 @@ class ProductSpace(BicombedSpace):
         if self._joint_lp2:
             return self.make_index(B).min_dist(A)
         return super().min_dist(A, B)
+
+    def close_pairs(self, packed, r: float):
+        if self._joint_lp2:
+            return _kd_close_pairs(self, packed, r, 2.0)
+        return super().close_pairs(packed, r)
 
     def segment_batch(self, packed, I, J, ts):
         return (

@@ -214,6 +214,14 @@ class BicombedSpace:
             ).min(axis=1)
         return out
 
+    def close_pairs(self, packed, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Row pairs (I, J), I < J, of a packed set at distance below r,
+        ordered by I, then J; the distance of a pair is entry [J, I] of
+        ``dist_matrix(packed, packed)``.  Coordinate spaces override this
+        with KD-tree pairs re-decided by ``paired_dist``."""
+        D = self.dist_matrix(packed, packed)
+        return np.nonzero(np.triu(D.T < r, k=1))
+
     def dist_to_packed(self, p: Point, packed) -> np.ndarray:
         return self.dist_matrix(self.pack([p]), packed)[0]
 

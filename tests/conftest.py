@@ -52,6 +52,21 @@ def path_tree():
     )
 
 
+#: caterpillar: spine s0-s1-s2-s3 with six legs, non-dyadic lengths, about
+#: half the edges stored head-first; the legs' free ends are its leaves
+CATERPILLAR_NODES = ("s0", "s1", "s2", "s3", "a0", "b0", "a1", "a2", "b2", "a3")
+CATERPILLAR_EDGES = (
+    ("s0", "s1", 0.7), ("s2", "s1", 0.55), ("s2", "s3", 0.8),
+    ("a0", "s0", 0.42), ("s0", "b0", 0.6), ("s1", "a1", 0.35),
+    ("a2", "s2", 0.65), ("s2", "b2", 0.4), ("a3", "s3", 0.5),
+)
+
+
+@pytest.fixture(scope="session")
+def caterpillar():
+    return make_metric_tree(MetricTreeSpec(CATERPILLAR_NODES, CATERPILLAR_EDGES))
+
+
 @pytest.fixture(scope="session")
 def random_tree():
     """Seeded random recursive tree on 1000 nodes: node i hangs off a uniformly

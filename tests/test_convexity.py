@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from bicombing_lab import (
     star_tree,
 )
 from bicombing_lab.convexity import _greedy_separate, canonical_rows
+from bicombing_lab.space_core import BicombedSpace
 
 coord = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
 
@@ -502,7 +504,7 @@ def _raster_space(name):
         seg = make_lp_space(NormedSpaceSpec(1, 2.0))
         pair = lambda x, y: ProductPoint(euclidean(x), euclidean(y))  # noqa: E731
         return make_product(ProductSpaceSpec(seg, seg)), pair
-    p = {"l1": 1.0, "l2": 2.0, "linf": math.inf}[name]
+    p = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "linf": math.inf}[name]
     return make_lp_space(NormedSpaceSpec(2, p)), euclidean
 
 
@@ -537,6 +539,47 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
     assert [pts[i] for i in rows] == want
     assert sum(band_rows) > 0
     assert PointNet.build(space, pts[::-1], eps).points == tuple(want)
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf", "l2xl2"])
+def test_close_pairs_match_dense_matrix(name):
+    # the KD-tree pairs, re-decided by paired_dist, are the dense matrix's
+    # pairs below r: paired_dist of (J, I) is its entry [J, I] bit for bit.
+    # A dyadic raster of step 1/16 puts many pairs exactly at r = 1/16
+    space, point = _raster_space(name)
+    rng = np.random.default_rng(45)
+    pts = [point(i / 16, j / 16) for i in range(17) for j in range(17)]
+    pts += [point(*rng.uniform(0, 1, 2)) for _ in range(200)]
+    P = space.pack(pts)
+    D = space.dist_matrix(P, P)
+    I, J = np.triu_indices(len(pts), k=1)
+    exact = space.paired_dist(space.packed_take(P, J), space.packed_take(P, I))
+    assert exact.tobytes() == D[J, I].tobytes()
+    for r in (1 / 16, 0.05, 0.0):
+        got = space.close_pairs(P, r)
+        want = BicombedSpace.close_pairs(space, P, r)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(got[0]) > 0 or r == 0.0
+
+
+def test_diameter_is_maximum_over_row_blocks():
+    # 2500 points span 25 row blocks; the diameter is the full matrix's
+    # maximum, and no more than a few blocks are held at once
+    space = make_lp_space(NormedSpaceSpec(3, 2.0))
+    rng = np.random.default_rng(46)
+    net = PointNet.build(space, [euclidean(*rng.uniform(0, 1, 3)) for _ in range(2500)], 1e-6)
+    assert len(net) == 2500
+    full = space.dist_matrix(net.packed, net.packed)
+    want, full_bytes = float(full.max()), full.nbytes
+    del full
+    tracemalloc.start()
+    try:
+        got = net.diameter
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < full_bytes / 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ ball and the simplex at commit 440a4b3, while the extremal scan still searched
 aligned chord pairs over a dense distance matrix, and the ``hull`` cases on the
 l1 and l-infinity balls at commit ac73f71, while hull closure still queried
 every segment sample and greedy separation tested keepers by dense blocks
-(they pin the l1 and l-infinity half-diagonals of the cell cover).  A refactor
-that keeps the lab's arithmetic keeps every digest.  A change that moves a
-report must say which one and why, and record the new digest here.
+(they pin the l1 and l-infinity half-diagonals of the cell cover), and the
+caterpillar cases at commit 778f8e6, while tree nearest distances still
+formed every route term (they pin nearest queries on a tree whose points
+spread over many edges).  A refactor that keeps the lab's arithmetic keeps
+every digest.  A change that moves a report must say which one and why, and
+record the new digest here.
 
 The digests pin floating-point rounding, and the numpy build and its BLAS
 take part in it (hyperbolic distances go through a BLAS matrix product).  They
@@ -25,8 +28,10 @@ lab, and is then re-recorded from the parent commit on that installation.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
+from conftest import CATERPILLAR_EDGES, CATERPILLAR_NODES
 
 from bicombing_lab.cli import main
 
@@ -75,5 +80,35 @@ def _case_id(command, gen_args):
 def test_report_digest(tmp_path, command, gen_args, digest):
     inst, report = tmp_path / "instance.json", tmp_path / "report.json"
     assert main(["gen", *gen_args, "--out", str(inst)]) == 0
+    assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+CATERPILLAR_GOLDEN = [
+    ("hull", "749ca65d3576f8fa3dad25c6a996a762ebb138541ad0249919065356e7040b9f"),
+    ("verify-km", "16f9f7daff3b4a518c969d8fd091ab52958e308d506778e58f0417c9ac9dc315"),
+]
+
+
+def _caterpillar_instance() -> dict:
+    """The caterpillar tree, seeded with its six leaves, at eps 0.06."""
+    leaves = [{"kind": "tree", "edge": e, "offset": 0.0 if u[0] in "ab" else w}
+              for e, (u, _, w) in enumerate(CATERPILLAR_EDGES) if e >= 3]
+    return {
+        "format": 1,
+        "space": {"kind": "tree", "nodes": list(CATERPILLAR_NODES),
+                  "edges": [list(e) for e in CATERPILLAR_EDGES]},
+        "seed_points": leaves,
+        "params": {"eps": 0.06, "hit_eps": 0.06, "delta": 0.4, "face_tol": 0.015,
+                   "t_grid": 7, "segment_samples": 8, "max_rounds": 64,
+                   "rng_seed": 0, "pass_factor": 3.0},
+    }
+
+
+@pytest.mark.parametrize("command, digest", CATERPILLAR_GOLDEN,
+                         ids=[c for c, _ in CATERPILLAR_GOLDEN])
+def test_caterpillar_report_digest(tmp_path, command, digest):
+    inst, report = tmp_path / "instance.json", tmp_path / "report.json"
+    inst.write_text(json.dumps(_caterpillar_instance(), indent=2))
     assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

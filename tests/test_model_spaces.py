@@ -33,6 +33,7 @@ from bicombing_lab import (
     make_product,
     star_tree,
 )
+from bicombing_lab.space_core import BLOCK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +338,98 @@ def test_tree_dist_matrix_and_min_dist_match_scalar(tree_case):
     assert _digest(tree_case.min_dist(PA, PB)) == want["row_minima"]
     assert _digest(tree_case.make_index(PB).min_dist(PA)) == want["row_minima"]
     assert _digest(tree_case.paired_dist(PA, tree_case.pack(B + A[:50]))) == want["paired"]
+
+
+def _path_tree():
+    """Path p0-...-p5 with non-dyadic edges, stored in both directions."""
+    return make_metric_tree(MetricTreeSpec(
+        ("p0", "p1", "p2", "p3", "p4", "p5"),
+        (("p1", "p0", 0.3), ("p1", "p2", 0.7), ("p3", "p2", 0.45),
+         ("p3", "p4", 0.15), ("p5", "p4", 0.55)),
+    ))
+
+
+@pytest.fixture(params=["star", "path", "caterpillar", "random"])
+def nearest_tree(request, caterpillar, random_tree):
+    if request.param == "path":
+        return _path_tree()
+    return {"star": star_tree(3), "caterpillar": caterpillar, "random": random_tree}[request.param]
+
+
+def _assert_dense_row_minima(tree, A, B):
+    """tree.min_dist(A, B) is dist_matrix(A, B).min(axis=1), bit for bit."""
+    PA, PB = tree.pack(A), tree.pack(B)
+    got, want = tree.min_dist(PA, PB), tree.dist_matrix(PA, PB).min(axis=1)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tree_min_dist_is_dense_row_minima(nearest_tree):
+    # a fifth of the points at nodes, each on its canonical edge, and half of
+    # those written with offset -0.0; B repeats some of its rows, and the
+    # queries include every B row and every node
+    tree = nearest_tree
+    nodes = [tree.node_point(name) for name in tree.nodes]
+    B = _tree_points(tree, 120, seed=21)
+    B = [TreePoint(p.edge, -0.0) if p.offset == 0.0 and k % 2 else p for k, p in enumerate(B)]
+    B += B[:30]
+    A = _tree_points(tree, 400, seed=22) + B + nodes
+    assert any(math.copysign(1.0, p.offset) < 0 for p in B)
+    _assert_dense_row_minima(tree, A, B)
+    _assert_dense_row_minima(tree, B, A)
+    _assert_dense_row_minima(tree, A, nodes)
+
+
+@pytest.mark.parametrize("tree_name", ["path", "caterpillar"])
+def test_tree_min_dist_own_edge_cases(tree_name, caterpillar):
+    tree = caterpillar if tree_name == "caterpillar" else _path_tree()
+    rng = np.random.default_rng(23)
+    everywhere = [tree.point_on_edge(e, float(rng.uniform(0, w)))
+                  for e, (_, _, w) in enumerate(tree.edges) for _ in range(6)]
+    # B on one edge only: interior offsets with a repeat, and the edge's two ends
+    w = tree.edges[1][2]
+    one_edge = [tree.point_on_edge(1, o) for o in (0.1, 0.25, 0.25, w / 3, w)]
+    one_edge.append(tree.point_on_edge(1, 0.0))
+    _assert_dense_row_minima(tree, everywhere + one_edge, one_edge)
+    # a single B point, and B on every other edge only, so that most query
+    # edges hold no B point
+    _assert_dense_row_minima(tree, everywhere, one_edge[:1])
+    sparse = [p for p in everywhere if p.edge % 2 == 0]
+    _assert_dense_row_minima(tree, everywhere, sparse)
+    # queries sitting on the B offsets, just below and just above them
+    near = [tree.point_on_edge(p.edge, o) for p in sparse
+            for o in (p.offset, np.nextafter(p.offset, 0.0), np.nextafter(p.offset, 1.0))
+            if 0.0 <= o <= tree.edges[p.edge][2]]
+    _assert_dense_row_minima(tree, near, sparse)
+
+
+def test_tree_min_dist_spans_row_blocks(random_tree):
+    # 300 B points on distinct edges give several hundred columns, so the
+    # queries run over several row blocks
+    tree = random_tree
+    rng = np.random.default_rng(24)
+    edges = rng.choice(len(tree.edges), 300, replace=False)
+    B = [tree.point_on_edge(int(e), float(rng.uniform(0, tree.edges[e][2]))) for e in edges]
+    A = _tree_points(tree, 3000, seed=25)
+    PB = tree.pack(B)
+    columns = len(np.unique(np.concatenate([PB["tail"], PB["head"]])))
+    assert len(A) > 2 * (BLOCK_ENTRIES // columns)
+    _assert_dense_row_minima(tree, A, B)
+
+
+def test_tree_first_leg_segment_stays_on_edge():
+    # the midpoint of x = 0.15 on edge p0-p1 (0.45) and y at the same
+    # distance past p1 is p1 itself; s = to_head there, and x + s rounds
+    # past the edge end, which the kernel clamps to p1
+    tree = make_metric_tree(MetricTreeSpec(
+        ("p0", "p1", "p2"), (("p0", "p1", 0.45), ("p1", "p2", 1.0))))
+    x = tree.point_on_edge(0, 0.15)
+    y = tree.point_on_edge(1, 0.45 - 0.15)
+    assert 0.15 + (0.45 - 0.15) > 0.45
+    assert evaluate_bicombing(tree, x, y, 0.5) == tree.node_point("p1")
+    S = tree.segment_batch(tree.pack([x, y]), np.array([0, 1]), np.array([1, 0]),
+                           np.array([0.5]))
+    assert tree.points_from_packed(S) == [tree.node_point("p1")] * 2
 
 
 def test_tree_space_state_unchanged_by_queries(tree_case):
