@@ -6,7 +6,7 @@ distance between nets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -198,11 +198,18 @@ class _ScaledFunctional:
 
 @dataclass(frozen=True)
 class HullResult:
-    """Fixed point of the segment-closure iteration plus convergence data."""
+    """Fixed point of the segment-closure iteration plus convergence data.
+
+    ``samples`` counts the segment samples formed and ``queried`` the rows
+    sent to a nearest-distance query (samples left open by the cell cover,
+    and cell centres); neither takes part in comparisons or reports.
+    """
 
     net: PointNet
     converged: bool
     rounds: int
+    samples: int = field(default=0, compare=False)
+    queried: int = field(default=0, compare=False)
 
 
 def canonical_rows(space: BicombedSpace, packed) -> np.ndarray:
@@ -262,6 +269,112 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
     return np.concatenate(kept)
 
 
+#: cell side of the cover grid, as a fraction of the radius r: eps/8 for hull
+#: closure's r = eps/2
+_COVER_CELL = 0.25
+#: relative margin of the cell certificate, for rounding in the nearest
+#: distances, the cell centres and the cell of a sample
+_COVER_MARGIN = 1e-9
+#: sample rows per slice of the cell lookup, to keep its temporaries small
+_COVER_SLICE = 1 << 15
+
+
+class _CellCover:
+    """Grid cells certified to lie within r of a growing net, kept for all
+    the rounds of one hull closure.
+
+    The grid covers the box of the space's ``cover_frame`` at side r/4,
+    doubled until it has at most BLOCK_ENTRIES cells.  Each cell keeps one
+    float, its centre's nearest distance to the net, computed the first time
+    a sample lands in the cell (inf until then) and lowered by the rows each
+    round inserts.  A cell is covered when that distance plus the cell's
+    half-diagonal (h/2 n^(1/p)) is below r, less relative margins and the
+    frame's slack: by the triangle inequality every sample in it then lies
+    within r of the net, and a covered cell stays covered as the net grows.
+    Spaces without a frame, and grids whose cells are too coarse to certify,
+    get a cover with no cells.
+    """
+
+    def __init__(self, space: BicombedSpace, seed_packed, r: float):
+        self.space, self.r = space, r
+        self.samples = self.queried = 0
+        self.dist = None
+        frame = space.cover_frame(seed_packed) if r > 0 else None
+        if frame is None:
+            return
+        lo, hi, m = frame.lo, frame.hi, _COVER_MARGIN
+        h = _COVER_CELL * r
+        while math.prod((np.floor((hi - lo) / h) + 1).tolist()) > BLOCK_ENTRIES:
+            h *= 2.0
+        half_diag = h / 2 * (1.0 if math.isinf(frame.p) else len(lo) ** (1.0 / frame.p))
+        scale = max(np.abs(lo).max(), np.abs(hi).max())
+        limit = r * (1 - m) - half_diag * (1 + m) - m * scale - frame.slack
+        if limit > 0:
+            self.frame, self.lo, self.h, self.limit = frame, lo, h, limit
+            self.cells = (np.floor((hi - lo) / h) + 1).astype(np.intp)
+            self.dist = np.full(int(np.prod(self.cells)), np.inf)
+
+    def far_rows(self, S, index) -> np.ndarray:
+        """Rows of the packed samples S at nearest distance >= r from the
+        net that `index` holds; always exactly
+        ``np.nonzero(index.min_dist(S) >= r)[0]``.  A sample in a covered
+        cell is answered without a query; every other one, a sample off the
+        grid included, takes the index's query."""
+        n = self.space.packed_len(S)
+        self.samples += n
+        if self.dist is None:
+            self.queried += n
+            return np.flatnonzero(index.min_dist(S) >= self.r)
+        X = self.frame.coords(S)
+        rows = np.concatenate([a + self._open_rows(X[a : a + _COVER_SLICE], index)
+                               for a in range(0, n, _COVER_SLICE)])
+        self.queried += len(rows)
+        return rows[index.min_dist(self.space.packed_take(S, rows)) >= self.r]
+
+    def _open_rows(self, X: np.ndarray, index) -> np.ndarray:
+        """Rows of the coordinate rows X in no covered cell, once the cells
+        that they are the first to land in have their centres queried."""
+        cell = self._cells(X)
+        on = np.flatnonzero(cell >= 0)
+        cell = cell[on]
+        d = self.dist[cell]
+        fresh = np.isinf(d)
+        if fresh.any():
+            mark = np.zeros(len(self.dist), dtype=bool)
+            mark[cell[fresh]] = True
+            hit = np.flatnonzero(mark)
+            self.dist[hit] = index.min_dist(self._centres(hit))
+            d[fresh] = self.dist[cell[fresh]]
+            self.queried += len(hit)
+        open_rows = np.ones(len(X), dtype=bool)
+        open_rows[on] = d >= self.limit
+        return np.flatnonzero(open_rows)
+
+    def insert(self, packed_new) -> None:
+        """Lower the distances of the visited cells not yet covered to the
+        rows just added to the net."""
+        if self.dist is None:
+            return
+        stale = np.flatnonzero(np.isfinite(self.dist) & (self.dist >= self.limit))
+        if len(stale):
+            self.queried += len(stale)
+            d = self.space.make_index(packed_new).min_dist(self._centres(stale))
+            self.dist[stale] = np.minimum(self.dist[stale], d)
+
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        """Row-major cell number of each coordinate row, -1 off the grid."""
+        flat, inside = np.zeros(len(X)), np.ones(len(X), dtype=bool)
+        for j in range(X.shape[1]):
+            k = np.floor((X[:, j] - self.lo[j]) / self.h)
+            inside &= (k >= 0) & (k < self.cells[j])
+            flat = flat * self.cells[j] + k
+        return np.where(inside, flat, -1).astype(np.intp)
+
+    def _centres(self, flat: np.ndarray):
+        k = np.stack(np.unravel_index(flat, self.cells), axis=1)
+        return self.frame.point(self.lo + (k + 0.5) * self.h)
+
+
 def _pair_blocks(n_old: int, n_total: int, first_round: bool, block_pairs: int):
     """Yield (I, J) index arrays covering the pairs a closure round must sample.
 
@@ -300,16 +413,22 @@ def hull_closure(
     containing the seed.
 
     Each round samples every segment between current net points at
-    segment_samples+1 parameters.  The round's index picks the samples at
-    least eps/2 from the net (``far_rows``).  The KD indexes of coordinate
-    nets skip the query of every sample whose grid cell they certify to lie
-    within eps/2 of the net (cell centre's distance plus half-diagonal below
-    eps/2), and query the rest as ``min_dist`` does, so the same samples are
-    kept.  They stay packed rows; joined once per round, they pass in
-    canonical order (``canonical_rows``) through ``_greedy_separate``, and
-    only the rows it accepts become ``Point`` objects in the net, so the
-    result does not depend on scan order.  Stops at the first round that
-    inserts nothing, or returns converged=False when max_rounds is exhausted.
+    segment_samples+1 parameters and keeps the samples at least eps/2 from
+    the net.  One cell cover (`_CellCover`), built from the seed, serves all
+    rounds: it grids a box that is convex in the space and holds the seed,
+    so it holds every sample in exact arithmetic.  The coordinates are the
+    points' own on lp and joined l2 x l2 nets, and (x1, x2) on the
+    hyperboloid, where d_H <= |delta(x1, x2)|_2.  A cell's centre is queried
+    the first time a sample lands in it, and afterwards only against the
+    rows inserted since; a sample in a cell certified within eps/2 of the
+    net skips its query, and every other sample takes the exact
+    ``index.min_dist(...) >= eps/2``, so the same samples are kept.  Other
+    spaces get a cover with no cells.  The kept samples stay packed rows;
+    joined once per round, they pass in canonical order (``canonical_rows``)
+    through ``_greedy_separate``, and only the rows it accepts become
+    ``Point`` objects in the net, so the result does not depend on scan
+    order.  Stops at the first round that inserts nothing, or returns
+    converged=False when max_rounds is exhausted.
     """
     if seed.space is not space:
         raise InvalidInputError("seed net belongs to a different space")
@@ -326,10 +445,12 @@ def hull_closure(
     ts = np.array([k / segment_samples for k in range(1, segment_samples)])
     block_pairs = max(1, 400_000 // (segment_samples + 1))
     n_old = 0
+    cover = _CellCover(space, packed, eps / 2)
 
     def result(converged: bool, rounds: int) -> HullResult:
         net = PointNet._assemble(space, [pts[i] for i in canonical_rows(space, packed)], eps)
-        return HullResult(net=net, converged=converged, rounds=rounds)
+        return HullResult(net=net, converged=converged, rounds=rounds,
+                          samples=cover.samples, queried=cover.queried)
 
     for round_no in range(1, max_rounds + 1):
         index = space.make_index(packed)
@@ -337,7 +458,7 @@ def hull_closure(
         survivors = []
         for I, J in _pair_blocks(n_old, n_total, round_no == 1, block_pairs):
             S = space.segment_batch(packed, I, J, ts)
-            keep = index.far_rows(S, eps / 2)
+            keep = cover.far_rows(S, index)
             if len(keep):
                 survivors.append(space.packed_take(S, keep))
         if not survivors:
@@ -349,6 +470,7 @@ def hull_closure(
         n_old = n_total
         pts.extend(space.points_from_packed(accepted))
         packed = space.packed_concat([packed, accepted])
+        cover.insert(accepted)
 
     return result(False, max_rounds)
 

@@ -16,6 +16,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from .space_core import (
     BLOCK_ENTRIES,
     BicombedSpace,
+    CoverFrame,
     EuclideanPoint,
     HyperboloidPoint,
     InvalidInputError,
@@ -192,14 +193,8 @@ def _joined(packed) -> np.ndarray:
     return np.hstack(packed) if isinstance(packed, tuple) else packed
 
 
-#: cell side of the cover grid in `_KDTreeIndex.far_rows`, as a fraction of
-#: the radius r: eps/8 for hull closure's r = eps/2
-_COVER_CELL = 0.25
-#: relative margin of the cell certificate, for rounding in the KD distances,
-#: the cell centres and the cell of a query
-_COVER_MARGIN = 1e-9
-#: query rows per slice of the cell test, to keep its temporaries small
-_COVER_SLICE = 1 << 15
+def _identity(X):
+    return X
 
 
 class _KDTreeIndex:
@@ -208,7 +203,6 @@ class _KDTreeIndex:
     def __init__(self, data: np.ndarray, p: float):
         self.tree = cKDTree(data)
         self.p = p
-        self._cover = None
 
     def min_dist(self, queries: np.ndarray) -> np.ndarray:
         return self._nearest(np.atleast_2d(queries))
@@ -216,68 +210,6 @@ class _KDTreeIndex:
     def _nearest(self, Q: np.ndarray) -> np.ndarray:
         d, _ = self.tree.query(Q, k=1, p=self.p, workers=worker_count())
         return np.atleast_1d(d)
-
-    def far_rows(self, queries: np.ndarray, r: float) -> np.ndarray:
-        """Rows of the queries at nearest distance >= r; always exactly
-        ``np.nonzero(self.min_dist(queries) >= r)[0]``.
-
-        A query whose grid cell is covered (see ``_grid``) lies within r of
-        the set by the triangle inequality, and is answered without a KD
-        query; every other query, a query off the grid included, takes the
-        same KD query as ``min_dist``.  The grid is built at the first call
-        with at least as many queries as it has cells.
-        """
-        S = np.atleast_2d(queries)
-        if self._cover is None or self._cover[0] != r:
-            grid = self._grid(r)
-            if grid is None or np.prod(grid[2]) > len(S):
-                return np.nonzero(self.min_dist(S) >= r)[0]
-            self._cover = (r, *self._covered_cells(*grid))
-        _, lo, h, table = self._cover
-        cells = np.array(table.shape)
-        open_rows = [np.empty(0, dtype=np.intp)]
-        for a in range(0, len(S), _COVER_SLICE):
-            k = np.floor((S[a : a + _COVER_SLICE] - lo) / h)
-            inside = np.nonzero(((k >= 0) & (k < cells)).all(axis=1))[0]
-            covered = np.zeros(len(k), dtype=bool)
-            covered[inside] = table[tuple(k[inside].astype(np.intp).T)]
-            open_rows.append(a + np.nonzero(~covered)[0])
-        rows = np.concatenate(open_rows)
-        return rows[self.min_dist(S[rows]) >= r]
-
-    def _grid(self, r: float):
-        """(lo, h, cells, limit): a grid of side h over the bounding box of
-        the set, from corner lo, with `cells` cells per axis (at most
-        BLOCK_ENTRIES in all), and the KD distance below which a cell centre
-        certifies its whole cell.  Every point of a cell lies within r of the
-        set when the centre's distance plus the cell's half-diagonal
-        h/2 * n^(1/p) is below r.  `limit` takes a relative margin off r, the
-        half-diagonal and the largest coordinate, which bounds the rounding
-        of cell centres and of a query's cell.  None when no cell can be
-        certified.
-        """
-        if not r > 0:
-            return None
-        lo, hi = self.tree.mins, self.tree.maxes
-        h = _COVER_CELL * r
-        while math.prod((np.floor((hi - lo) / h) + 1).tolist()) > BLOCK_ENTRIES:
-            h *= 2.0
-        cells = (np.floor((hi - lo) / h) + 1).astype(np.intp)
-        half_diag = h / 2 * (1.0 if math.isinf(self.p) else len(lo) ** (1.0 / self.p))
-        scale = max(np.abs(lo).max(), np.abs(hi).max())
-        limit = (r * (1 - _COVER_MARGIN) - half_diag * (1 + _COVER_MARGIN)
-                 - _COVER_MARGIN * scale)
-        return (lo, h, cells, limit) if limit > 0 else None
-
-    def _covered_cells(self, lo, h, cells, limit):
-        """(lo, h, table): the grid with its certified cells marked in a
-        boolean table of shape `cells`."""
-        flat = np.arange(int(np.prod(cells)))
-        covered = np.empty(len(flat), dtype=bool)
-        for a in range(0, len(flat), _COVER_SLICE):
-            k = np.stack(np.unravel_index(flat[a : a + _COVER_SLICE], cells), axis=1)
-            covered[a : a + len(k)] = self.min_dist(lo + (k + 0.5) * h) < limit
-        return lo, h, covered.reshape(cells)
 
 
 class _ProductJointIndex(_KDTreeIndex):
@@ -289,9 +221,6 @@ class _ProductJointIndex(_KDTreeIndex):
 
     def min_dist(self, packed_pair) -> np.ndarray:
         return self._nearest(np.atleast_2d(_joined(packed_pair)))
-
-    def far_rows(self, packed_pair, r: float) -> np.ndarray:
-        return super().far_rows(_joined(packed_pair), r)
 
 
 #: relative margin on KD-tree radii (the reflected ball radius, the close-pair
@@ -418,6 +347,9 @@ class LpSpace(_CoordinateRows, BicombedSpace):
     def make_index(self, packed):
         return _KDTreeIndex(packed, self.p)
 
+    def cover_frame(self, packed):
+        return CoverFrame(_identity, _identity, packed.min(axis=0), packed.max(axis=0), self.p)
+
     def make_chord_finder(self, packed):
         return _ReflectedChords(packed, self.p)
 
@@ -474,6 +406,11 @@ def _chord_dist(q: np.ndarray) -> np.ndarray:
     """Distance 2*asinh(sqrt(q)/2) from chord squares q = <x-y, x-y>_M;
     a q that rounding left below 0 counts as 0."""
     return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
+
+
+def _on_sheet(X: np.ndarray) -> np.ndarray:
+    """Points of the sheet with projected coordinates X = (x1, x2)."""
+    return np.column_stack([np.sqrt(1.0 + (X * X).sum(axis=1)), X])
 
 
 class HyperbolicPlane(_CoordinateRows, BicombedSpace):
@@ -543,6 +480,27 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
                 qmin[small] = refined
             out[lo : lo + rows] = _chord_dist(qmin)
         return out
+
+    def cover_frame(self, packed):
+        """Projected coordinates x' = (x1, x2).  On the sheet
+        ds^2 = |dx'|^2 - (x'.dx')^2 / x0^2 <= |dx'|^2, so d(x, y) <= |x' - y'|_2.
+        x_i is sinh of the signed distance to the line x_i = 0, so {x_i <= a}
+        for a >= 0 and {x_i >= b} for b <= 0 are closed neighbourhoods of
+        half-planes, hence convex, and so is the seed's box widened to hold 0.
+
+        ``slack`` covers the sheet tolerance (a chord square from the Gram
+        form moves by <x,x>_M + 1 of each point) and the Gram rounding of
+        about x0^2 ulp: with both in D, a computed chord square lies within
+        2 D of the exact one of the points lifted onto the sheet (the refined
+        near rows may pick a column up to 2 D off the nearest), and as
+        d = 2 asinh(sqrt(q) / 2) moves by at most sqrt of a move in q, a
+        computed distance lies within sqrt(2 D) of the exact one.
+        """
+        X = packed[:, 1:]
+        lo, hi = np.minimum(X.min(axis=0), 0.0), np.maximum(X.max(axis=0), 0.0)
+        far = np.maximum(-lo, hi)
+        D = 2 * self._INVARIANT_TOL + 16 * np.finfo(float).eps * (1.0 + far @ far)
+        return CoverFrame(lambda P: P[:, 1:], _on_sheet, lo, hi, 2.0, 2 * math.sqrt(2 * D))
 
     def segment_batch(self, packed, I, J, ts) -> np.ndarray:
         X = packed[I]
@@ -1096,6 +1054,13 @@ class ProductSpace(BicombedSpace):
         if self._joint_lp2:
             return _ProductJointIndex(packed)
         return super().make_index(packed)
+
+    def cover_frame(self, packed):
+        if self._joint_lp2:
+            X, a = _joined(packed), self.left.n
+            return CoverFrame(_joined, lambda Y: (Y[:, :a], Y[:, a:]),
+                              X.min(axis=0), X.max(axis=0), 2.0)
+        return super().cover_frame(packed)
 
     def make_chord_finder(self, packed):
         if self._joint_lp2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -115,9 +115,25 @@ class _PackedIndex:
     def min_dist(self, packed_queries) -> np.ndarray:
         return self.space.min_dist(packed_queries, self.packed)
 
-    def far_rows(self, packed_queries, r: float) -> np.ndarray:
-        """Rows of the queries at nearest distance >= r."""
-        return np.nonzero(self.min_dist(packed_queries) >= r)[0]
+
+@dataclass(frozen=True)
+class CoverFrame:
+    """Coordinates in which hull closure grids its cell cover.
+
+    ``coords(packed)`` maps points to rows of R^n and ``point(X)`` maps such
+    rows back to packed points, with d(x, y) <= |coords(x) - coords(y)|_p.
+    The box [lo, hi] is convex in the space and holds the seed, so it holds
+    the seed's hull.  ``slack`` bounds the sum of the rounding in two of the
+    space's computed nearest distances, where it exceeds the cover's relative
+    margins.
+    """
+
+    coords: Callable
+    point: Callable
+    lo: np.ndarray
+    hi: np.ndarray
+    p: float
+    slack: float = 0.0
 
 
 #: slack added to the chord alignment filter so float rounding in distances can
@@ -233,6 +249,12 @@ class BicombedSpace:
     def make_index(self, packed) -> _PackedIndex:
         """Index for repeated nearest-distance queries against a fixed set."""
         return _PackedIndex(self, packed)
+
+    def cover_frame(self, packed) -> CoverFrame | None:
+        """Grid coordinates for the cell cover of a hull closure seeded with
+        the packed set, or None where the space has none (its closures query
+        every sample)."""
+        return None
 
     def make_chord_finder(self, packed) -> _AlignedChords:
         """Candidate step of the extremal scan over a fixed packed set: its

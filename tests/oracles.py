@@ -393,3 +393,38 @@ def greedy_separation(space, points, eps: float) -> list:
                 continue
         kept.append(i)
     return [points[i] for i in kept]
+
+
+def brute_hull_closure(space, seed: PointNet, segment_samples: int = 8,
+                       max_rounds: int = 64) -> list:
+    """Hull closure with no cell cover and no index: every segment sample is
+    decided by ``space.min_dist`` over the whole net.
+
+    The rounds are those of ``hull_closure``: every pair in the first round,
+    then the pairs that touch the last round's points, with the samples at
+    least eps/2 from the net thinned in canonical order by the library's
+    greedy eps/2 separation.  Returns the net's points in canonical order.
+    """
+    from bicombing_lab.convexity import _greedy_separate, canonical_rows
+
+    eps, packed = seed.eps, seed.packed
+    ts = np.arange(1, segment_samples) / segment_samples
+    n_old = 0
+    for round_no in range(max_rounds):
+        n = space.packed_len(packed)
+        I, J = np.triu_indices(n, 1)
+        if round_no:
+            I, J = I[J >= n_old], J[J >= n_old]
+        far = []
+        for lo in range(0, len(I), 20_000):
+            S = space.segment_batch(packed, I[lo : lo + 20_000], J[lo : lo + 20_000], ts)
+            far.append(space.packed_take(S, np.nonzero(space.min_dist(S, packed) >= eps / 2)[0]))
+        cands = space.packed_concat(far)
+        if not space.packed_len(cands):
+            break
+        cands = space.packed_take(cands, canonical_rows(space, cands))
+        n_old = n
+        packed = space.packed_concat(
+            [packed, space.packed_take(cands, _greedy_separate(space, cands, eps))])
+    pts = space.points_from_packed(packed)
+    return [pts[i] for i in canonical_rows(space, packed)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from bicombing_lab import (
@@ -32,13 +35,15 @@ from bicombing_lab import (
     hyperbolic_point_at,
     hyperboloid,
     is_convex_net,
+    lorentz_boost,
     make_hyperbolic_plane,
     make_lp_space,
     make_metric_tree,
     make_product,
     star_tree,
 )
-from bicombing_lab.convexity import _greedy_separate, canonical_rows
+from bicombing_lab.convexity import _CellCover, _greedy_separate, canonical_rows
+from bicombing_lab.instances import build_space, generate_instance
 from bicombing_lab.space_core import BicombedSpace
 
 coord = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
@@ -150,6 +155,37 @@ def test_hull_non_converged_flagged(plane):
     res = hull_closure(plane, seed, max_rounds=2)
     assert not res.converged
     assert res.rounds == 2
+
+
+_BRUTE_HULL_CASES = {
+    "l1": ("lp_ball", {"p": 1.0}),
+    "l2": ("simplex", {}),
+    "linf": ("lp_ball", {}),
+    "l2xl2": ("product_demo", {}),
+    "hyp-side1": ("hyp_triangle", {}),
+    "hyp-side2.5": ("hyp_triangle", {"side": 2.5}),
+    "star3": ("tree_leaves", {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRUTE_HULL_CASES))
+def test_hull_closure_matches_brute_oracle(case):
+    kind, options = _BRUTE_HULL_CASES[case]
+    inst = generate_instance(kind, **options)
+    space = build_space(inst.space)
+    seed = PointNet.build(space, inst.seed_points, inst.params.eps)
+    res = hull_closure(space, seed)
+    assert res.converged
+    assert list(res.net.points) == oracles.brute_hull_closure(space, seed)
+
+
+def test_hull_queries_under_a_tenth_of_samples(hplane):
+    inst = generate_instance("hyp_triangle")
+    seed = PointNet.build(hplane, inst.seed_points, inst.params.eps)
+    res = hull_closure(hplane, seed)
+    assert 0 < res.queried < res.samples / 10
+    # the counts take no part in comparisons
+    assert dataclasses.replace(res, samples=0, queried=0) == res
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +623,15 @@ def test_diameter_is_maximum_over_row_blocks():
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle_hull_rows():
+    """Packed rows of the hull net of the default hyperbolic triangle."""
+    inst = generate_instance("hyp_triangle")
+    space = make_hyperbolic_plane()
+    seed = PointNet.build(space, inst.seed_points, inst.params.eps)
+    return hull_closure(space, seed).net.packed
+
+
 def _cover_net(case, rng):
     """(net rows, r) for the far_rows cases."""
     if case == "random":
@@ -602,12 +647,34 @@ def _cover_net(case, rng):
         return P, 0.04
     if case == "r8":  # the cell grid coarsens until no cell can be covered
         return rng.uniform(0, 1, (200, 8)), 0.1
+    if case == "triangle":
+        return _triangle_hull_rows(), 0.05
+    if case == "far":  # the triangle moved out to x0 from 12 to about 32
+        return _triangle_hull_rows() @ lorentz_boost(math.acosh(12.0)).T, 0.05
+    if case == "offsheet":  # two net points moved 0.999e-9 off the sheet, one each way
+        P = _triangle_hull_rows().copy()
+        for row, off in ((0, 0.999e-9), (1, -0.999e-9)):
+            P[row, 0] = math.sqrt(P[row, 0] ** 2 + off)
+            make_hyperbolic_plane().validate_point(hyperboloid(*P[row]))
+        return P, 0.05
     # a line with non-dyadic corner and radius whose second point sits on a
     # cell edge, so the points at distance r from it sit on cell edges too:
     # there a cell's certificate is tight, and rounding decides it
     lo, r = rng.uniform(-1, 1), rng.uniform(0.03, 0.07)
     h = r / 4
     return np.array([[lo], [lo + 2 * h], [lo + 2 * h + 5 * r], [lo + 40 * h]]), r
+
+
+def _float_neighbours(probe, axes):
+    """The probe rows moved by up to 3 ulps either way along each axis."""
+    parts = []
+    for axis in axes:
+        for steps in range(-3, 4):
+            moved = probe.copy()
+            for _ in range(abs(steps)):
+                moved[:, axis] = np.nextafter(moved[:, axis], np.sign(steps) * np.inf)
+            parts.append(moved)
+    return parts
 
 
 def _cover_queries(P, r, rng):
@@ -626,25 +693,54 @@ def _cover_queries(P, r, rng):
         for sign in (-1.0, 1.0):
             probe = X.copy()
             probe[:, axis] += sign * r
-            for steps in range(-3, 4):
-                moved = probe.copy()
-                for _ in range(abs(steps)):
-                    moved[:, axis] = np.nextafter(moved[:, axis], np.sign(steps) * np.inf)
-                parts.append(moved)
+            parts += _float_neighbours(probe, [axis])
     return np.vstack(parts)
 
 
-def _lp_or_joined_index(kind, P):
-    """The index of an lp space on the rows P, or of the l2 x l2 product that
-    splits their coordinates; with the map from rows to its queries."""
-    n = P.shape[1]
+def _hyp_cover_queries(P, r, rng):
+    """The hyperbolic counterpart of `_cover_queries`: sheet points over the
+    (x1, x2) box grown by 2r, far points, segment samples, and probes at
+    distance r along geodesics from net points (the off-sheet points of the
+    "offsheet" net among them) in 8 directions, with their float neighbours
+    in x1 and x2."""
+    hplane = make_hyperbolic_plane()
+    lift = lambda X: np.column_stack([np.sqrt(1 + (X * X).sum(axis=1)), X])  # noqa: E731
+    lo, hi = P[:, 1:].min(axis=0) - 2 * r, P[:, 1:].max(axis=0) + 2 * r
+    parts = [lift(rng.uniform(lo, hi, (8000, 2))), lift(np.vstack([lo - 10, hi + 10]))]
+    I, J = rng.integers(len(P), size=(2, 300))
+    parts.append(hplane.segment_batch(P, I, J, np.arange(1, 8) / 8))
+    X = P[np.r_[0, 1, 2 + rng.permutation(len(P) - 2)[:38]]]
+    mink = np.array([-1.0, 1.0, 1.0])
+    for theta in np.arange(8) * np.pi / 4:
+        u = np.array([0.0, math.cos(theta), math.sin(theta)])
+        v = u + ((X * mink) @ u)[:, None] * X  # tangent part of u at each X
+        v /= np.sqrt(((v * v) * mink).sum(axis=1))[:, None]
+        parts += _float_neighbours(math.cosh(r) * X + math.sinh(r) * v, [1, 2])
+    # the corners of the cover's cells (side r/4 from a box corner at 0) within
+    # 2r of the net, each moved an ulp into the four cells that meet there:
+    # a corner is where a cell's half-diagonal bound is tight
+    h, Y = r / 4, P[:, 1:]
+    axes = [np.arange(np.floor(a / h) - 8, np.ceil(b / h) + 9) * h
+            for a, b in zip(Y.min(axis=0), Y.max(axis=0))]
+    corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    corners = corners[cKDTree(Y).query(corners)[0] <= 2 * r]
+    for ux, uy in itertools.product((-np.inf, np.inf), repeat=2):
+        parts.append(lift(np.column_stack([np.nextafter(corners[:, 0], ux),
+                                           np.nextafter(corners[:, 1], uy)])))
+    return np.vstack(parts)
+
+
+def _cover_space(kind, n):
+    """The space of a far_rows case, and the map from its net rows to packed
+    points: the l2 x l2 product splits the coordinates."""
+    if kind == "hyp":
+        return make_hyperbolic_plane(), lambda X: X
     if kind == "l2xl2":
         a = n // 2
         space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(a, 2.0)),
                                               make_lp_space(NormedSpaceSpec(n - a, 2.0))))
-        split = lambda X: (X[:, :a].copy(), X[:, a:].copy())  # noqa: E731
-        return space.make_index(split(P)), split
-    return make_lp_space(NormedSpaceSpec(n, kind)).make_index(P), lambda X: X
+        return space, lambda X: (X[:, :a].copy(), X[:, a:].copy())
+    return make_lp_space(NormedSpaceSpec(n, kind)), lambda X: X
 
 
 _FAR_ROWS_CASES = [(kind, case) for case in ("random", "raster", "collinear", "line", "r8")
@@ -653,19 +749,24 @@ _FAR_ROWS_CASES = [(kind, case) for case in ("random", "raster", "collinear", "l
 # one cell per flat axis: the grid stays small however many axes are flat; in
 # l2 the cell centres sit too far off the line to certify, in linf they do not
 _FAR_ROWS_CASES += [(2.0, "flat30"), ("l2xl2", "flat30"), (math.inf, "flat20")]
+_FAR_ROWS_CASES += [("hyp", case) for case in ("triangle", "far", "offsheet")]
+
+
+def _kind_id(kind):
+    return kind if isinstance(kind, str) else f"l{kind:g}"
 
 
 @pytest.mark.parametrize("kind, case", _FAR_ROWS_CASES,
-                         ids=[f"{case}-{kind if kind == 'l2xl2' else f'l{kind:g}'}"
-                              for kind, case in _FAR_ROWS_CASES])
+                         ids=[f"{case}-{_kind_id(kind)}" for kind, case in _FAR_ROWS_CASES])
 def test_far_rows_match_min_dist(kind, case, monkeypatch):
     seeds = range(40) if case == "line" else [51]
     for seed in seeds:
         rng = np.random.default_rng(seed)
         P, r = _cover_net(case, rng)
-        Q = _cover_queries(P, r, rng)
-        index, as_queries = _lp_or_joined_index(kind, P)
-        want = np.nonzero(index.min_dist(as_queries(Q)) >= r)[0]
+        Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
+        space, as_packed = _cover_space(kind, P.shape[1])
+        index = space.make_index(as_packed(P))
+        want = np.nonzero(index.min_dist(as_packed(Q)) >= r)[0]
         assert 0 < len(want) < len(Q)
         queried = []
         nearest = index.min_dist
@@ -676,7 +777,7 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
             return out
 
         monkeypatch.setattr(index, "min_dist", counted)
-        got = index.far_rows(as_queries(Q), r)
+        got = _CellCover(space, as_packed(P), r).far_rows(as_packed(Q), index)
         assert got.dtype.kind == "i"
         np.testing.assert_array_equal(got, want)
         if case == "r8":
@@ -685,6 +786,29 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
             assert queried[-1] == len(Q)  # a grid of 101 cells, none covered
         elif seed == seeds[0]:
             assert queried[-1] < len(Q)  # after the cell centres, the rows left open
+
+
+@pytest.mark.parametrize("kind", [2.0, "l2xl2", "hyp"], ids=_kind_id)
+def test_cover_persists_across_inserts(kind):
+    # one cover, built from the first third of a net, answers for the net
+    # grown by the other two thirds as a fresh index does, and the rows
+    # inserted certify cells that a sample visited while they were open
+    rng = np.random.default_rng(52)
+    P, r = _cover_net("triangle" if kind == "hyp" else "random", rng)
+    Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
+    space, as_packed = _cover_space(kind, P.shape[1])
+    batches = np.array_split(P[rng.permutation(len(P))], 3)
+    cover = _CellCover(space, as_packed(batches[0]), r)
+    certified = []
+    for k in range(3):
+        if k:
+            before = int((cover.dist < cover.limit).sum())
+            cover.insert(as_packed(batches[k]))
+            certified.append(int((cover.dist < cover.limit).sum()) - before)
+        index = space.make_index(as_packed(np.vstack(batches[: k + 1])))
+        want = np.nonzero(index.min_dist(as_packed(Q)) >= r)[0]
+        np.testing.assert_array_equal(cover.far_rows(as_packed(Q), index), want)
+    assert min(certified) > 0
 
 
 # ---------------------------------------------------------------------------

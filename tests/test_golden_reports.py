@@ -11,10 +11,13 @@ ball and the simplex at commit 440a4b3, while the extremal scan still searched
 aligned chord pairs over a dense distance matrix, and the ``hull`` cases on the
 l1 and l-infinity balls at commit ac73f71, while hull closure still queried
 every segment sample and greedy separation tested keepers by dense blocks
-(they pin the l1 and l-infinity half-diagonals of the cell cover), and the
+(they pin the l1 and l-infinity half-diagonals of the cell cover), the
 caterpillar cases at commit 778f8e6, while tree nearest distances still
 formed every route term (they pin nearest queries on a tree whose points
-spread over many edges).  A refactor that keeps the lab's arithmetic keeps
+spread over many edges), and the ``hull`` and ``verify-km`` cases on the
+side-2 hyperbolic triangle at commit 2d6f3fe, while hyperbolic hull closure
+still queried every segment sample (they pin the hyperbolic cell cover far
+from the origin).  A refactor that keeps the lab's arithmetic keeps
 every digest.  A change that moves a report must say which one and why, and
 record the new digest here.
 
@@ -66,13 +69,19 @@ GOLDEN = [
      "be3f6079196b0e6db3563dbe0e870b74e079583f556768460858675beb2b4361"),
     ("hull", ["lp_ball"],
      "d8b08094411a7608e6500cb35d78e6c00356dd9d4e14a148dc0aa73f7f02b230"),
+    ("hull", ["hyp_triangle", "--side", "2"],
+     "7043096b3bd3485b7f1717dae4d43886185a2002c84a25e90d1bb54be63e50f9"),
+    ("verify-km", ["hyp_triangle", "--side", "2"],
+     "3c9c91a9e17983208995ae30182b19e22efa6f84bd63cb12f26c01b830b87558"),
 ]
 
 
 def _case_id(command, gen_args):
-    """command-kind, plus the exponent where --p is given."""
-    p = f"-p{gen_args[gen_args.index('--p') + 1]}" if "--p" in gen_args else ""
-    return f"{command}-{gen_args[0]}{p}"
+    """command-kind, plus the exponent where --p is given and the side
+    where --side is given."""
+    tag = "".join(f"-{name}{gen_args[gen_args.index(f'--{name}') + 1]}"
+                  for name in ("p", "side") if f"--{name}" in gen_args)
+    return f"{command}-{gen_args[0]}{tag}"
 
 
 @pytest.mark.parametrize("command, gen_args, digest", GOLDEN,
