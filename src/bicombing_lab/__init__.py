@@ -46,7 +46,6 @@ from .convexity import (
     PointNet,
     check_convex_functional,
     directed_excess,
-    dist_to_net,
     hausdorff,
     hull_closure,
     is_convex_net,
@@ -64,7 +63,6 @@ from .extremal import (
     minimal_extremal_descent,
 )
 from .km_verify import (
-    HullConfig,
     KMReport,
     PaperChecksReport,
     run_paper_checks,

@@ -36,7 +36,7 @@ from .instances import (
     point_to_obj,
     save_instance,
 )
-from .km_verify import HullConfig, run_paper_checks, verify_krein_milman
+from .km_verify import run_paper_checks, verify_krein_milman
 from .model_spaces import HyperbolicPlane, LpSpace, ProductSpace, TreeSpace
 from .space_core import InvalidInputError, check_axioms, evaluate_bicombing, worker_count
 
@@ -101,6 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    for name in ("step", "eps", "radius", "side"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidInputError(f"--{name} must be a finite number, got {value}")
     p = math.inf if args.p == "inf" else float(args.p)
     inst = generate_instance(
         args.kind,
@@ -129,8 +133,8 @@ def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
     params = inst.params
     if args.eps is not None:
-        if args.eps <= 0:
-            raise InvalidInputError("--eps must be positive")
+        if not (math.isfinite(args.eps) and args.eps > 0):
+            raise InvalidInputError(f"--eps must be finite and positive, got {args.eps}")
         params = params.scaled(args.eps / params.eps)
     if args.rng_seed is not None:
         params = replace(params, rng_seed=args.rng_seed)
@@ -183,9 +187,9 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
         report["passed"] = rep.passed
         return report, rep.passed, {}
 
-    cfg = HullConfig(inst.params.segment_samples, inst.params.max_rounds)
+    samples, max_rounds = inst.params.segment_samples, inst.params.max_rounds
     t0 = time.perf_counter()
-    hull = hull_closure(space, seed, cfg.segment_samples, cfg.max_rounds)
+    hull = hull_closure(space, seed, samples, max_rounds)
     seed_hull_s = time.perf_counter() - t0
     C = hull.net
     report["hull"] = {
@@ -209,7 +213,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
             "extremal": [point_to_obj(p) for p in scan.points],
         }
         report["result"] = {
-            "extremal_count": len(scan.points),
+            "extremal_count": len(scan.survivors),
             "diagnostic": scan.diagnostic,
         }
         passed = not scan.is_empty
@@ -217,7 +221,8 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
         return report, passed, {}
 
     if sub == "verify-km":
-        km, nets = verify_krein_milman(space, C, params, cfg, inst.params.pass_factor)
+        km, nets = verify_krein_milman(space, C, params, samples, max_rounds,
+                                       inst.params.pass_factor)
         report["result"] = {
             "net_size": km.net_size,
             "extremal_count": km.extremal_count,
@@ -242,7 +247,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
     if sub == "paper-checks":
         suite = _default_suite(space, C)
         rep = run_paper_checks(space, C, suite, params, rng_seed=inst.params.rng_seed,
-                               hull_cfg=cfg)
+                               segment_samples=samples, max_rounds=max_rounds)
         report["result"] = {
             "face_checks": [
                 {

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
+from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point, _row_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -20,16 +20,20 @@ from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointNet:
     """Finite point collection standing in for a compact set at resolution eps.
 
-    Stored points are canonically ordered and pairwise at least eps/2 apart;
-    construct through :meth:`build`, which sorts and deduplicates.
+    The packed rows (``space.pack`` form) are the net: canonically ordered
+    and pairwise at least eps/2 apart.  ``points`` builds ``Point`` objects
+    from them on first use, for the API and reports.  Points from outside
+    enter through :meth:`build`, which validates, sorts and deduplicates; the
+    constructor takes rows already sorted and separated.  Nets compare by
+    identity.
     """
 
     space: BicombedSpace
-    points: tuple[Point, ...]
+    packed: object
     eps: float
 
     @staticmethod
@@ -39,29 +43,30 @@ class PointNet:
         When two points fall within eps/2 of each other the canonically smaller
         one is kept, so the stored net is independent of input order.
         """
-        if eps <= 0:
-            raise InvalidInputError("net resolution eps must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidInputError(f"net resolution eps must be finite and positive, got {eps}")
         pts = list(points)
         if not pts:
             raise InvalidInputError("a point net cannot be empty")
         for p in pts:
             space.validate_point(p)
         packed = space.pack(pts)
+        if not all(np.isfinite(c).all() for c in space.sort_columns(packed)):
+            raise InvalidInputError("point coordinates must be finite")
         rows = canonical_rows(space, packed)
         rows = rows[_greedy_separate(space, space.packed_take(packed, rows), eps)]
-        return PointNet(space, tuple(pts[i] for i in rows), float(eps))
-
-    @staticmethod
-    def _assemble(space: BicombedSpace, sorted_points: Sequence[Point], eps: float) -> "PointNet":
-        """Internal constructor for lists already sorted and eps/2-separated."""
-        return PointNet(space, tuple(sorted_points), float(eps))
+        return PointNet(space, space.packed_take(packed, rows), float(eps))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.space.packed_len(self.packed)
+
+    def take(self, rows) -> "PointNet":
+        """The net of the given rows, which must be in increasing order."""
+        return PointNet(self.space, self.space.packed_take(self.packed, rows), self.eps)
 
     @cached_property
-    def packed(self):
-        return self.space.pack(self.points)
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self.space.points_from_packed(self.packed))
 
     @cached_property
     def index(self):
@@ -75,24 +80,12 @@ class PointNet:
     def diameter(self) -> float:
         """Largest stored distance, as the maximum of the row blocks that
         ``dist_matrix`` forms, one block at a time."""
-        n = len(self.points)
-        rows = max(1, BLOCK_ENTRIES // n)
+        n = len(self)
         return max(
             float(self.space.dist_matrix(
-                self.space.packed_take(self.packed, np.arange(lo, min(lo + rows, n))),
-                self.packed).max())
-            for lo in range(0, n, rows)
+                self.space.packed_take(self.packed, np.arange(n)[rows]), self.packed).max())
+            for rows in _row_blocks(n, n)
         )
-
-
-def dist_to_net(space: BicombedSpace, K: PointNet, x: Point) -> float:
-    """min over the stored points of d(k, x); zero only at a stored location."""
-    if K.space is not space:
-        raise InvalidInputError("net belongs to a different space")
-    if not K.points:
-        raise InvalidInputError("distance to an empty net is undefined")
-    space.validate_point(x)
-    return float(space.dist_to_packed(x, K.packed).min())
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,7 @@ class ConvexFunctional:
         if self.kind == "dist_to_point":
             return space.dist_matrix(space.pack([self.anchor]), packed)[0]
         if self.kind in ("dist_to_net", "dist_to_hull"):
-            if self.target is None or not self.target.points:
+            if self.target is None or not len(self.target):
                 raise InvalidInputError(f"{self.kind} functional needs a non-empty net")
             target_space = self.target.space
             to_set = target_space.min_dist if self.kind == "dist_to_net" else target_space.hull_dist
@@ -423,11 +416,11 @@ def hull_closure(
     rows inserted since; a sample in a cell certified within eps/2 of the
     net skips its query, and every other sample takes the exact
     ``index.min_dist(...) >= eps/2``, so the same samples are kept.  Other
-    spaces get a cover with no cells.  The kept samples stay packed rows;
-    joined once per round, they pass in canonical order (``canonical_rows``)
-    through ``_greedy_separate``, and only the rows it accepts become
-    ``Point`` objects in the net, so the result does not depend on scan
-    order.  Stops at the first round that inserts nothing, or returns
+    spaces get a cover with no cells.  The net stays packed rows throughout:
+    the kept samples, joined once per round, pass in canonical order
+    (``canonical_rows``) through ``_greedy_separate``, and the rows it
+    accepts are appended, so the result does not depend on scan order.
+    Stops at the first round that inserts nothing, or returns
     converged=False when max_rounds is exhausted.
     """
     if seed.space is not space:
@@ -438,7 +431,6 @@ def hull_closure(
         raise InvalidInputError("max_rounds must be >= 1")
 
     eps = seed.eps
-    pts: list[Point] = list(seed.points)
     packed = seed.packed
     # endpoint samples coincide with stored points and can never be inserted,
     # so only strictly interior parameters are queried
@@ -448,13 +440,13 @@ def hull_closure(
     cover = _CellCover(space, packed, eps / 2)
 
     def result(converged: bool, rounds: int) -> HullResult:
-        net = PointNet._assemble(space, [pts[i] for i in canonical_rows(space, packed)], eps)
+        net = PointNet(space, space.packed_take(packed, canonical_rows(space, packed)), eps)
         return HullResult(net=net, converged=converged, rounds=rounds,
                           samples=cover.samples, queried=cover.queried)
 
     for round_no in range(1, max_rounds + 1):
         index = space.make_index(packed)
-        n_total = len(pts)
+        n_total = space.packed_len(packed)
         survivors = []
         for I, J in _pair_blocks(n_old, n_total, round_no == 1, block_pairs):
             S = space.segment_batch(packed, I, J, ts)
@@ -468,7 +460,6 @@ def hull_closure(
         accepted = space.packed_take(cands, _greedy_separate(space, cands, eps))
         # keep insertion order: indices >= n_old are exactly this round's points
         n_old = n_total
-        pts.extend(space.points_from_packed(accepted))
         packed = space.packed_concat([packed, accepted])
         cover.insert(accepted)
 
@@ -500,7 +491,7 @@ def is_convex_net(
     ts = np.array([k / segment_samples for k in range(1, segment_samples)])
     packed = C.packed
     index = C.index
-    n = len(C.points)
+    n = len(C)
     block_pairs = max(1, 400_000 // (segment_samples + 1))
     worst = None
     worst_dist = C.eps
@@ -550,7 +541,7 @@ def check_convex_functional(
         raise InvalidInputError("functional-check grid must be >= 2")
     ts = np.array([k / grid for k in range(grid + 1)])
     packed = domain.packed
-    n = len(domain.points)
+    n = len(domain)
     worst = -math.inf
     witness = None
     block_pairs = max(1, 200_000 // (grid + 1))
@@ -578,7 +569,7 @@ def hausdorff(space: BicombedSpace, A: PointNet, B: PointNet) -> float:
     """Symmetric Hausdorff distance between two stored point sets."""
     if A.space is not space or B.space is not space:
         raise InvalidInputError("nets belong to a different space")
-    if not A.points or not B.points:
+    if not len(A) or not len(B):
         raise InvalidInputError("Hausdorff distance needs non-empty nets")
     ab = float(B.index.min_dist(A.packed).max())
     ba = float(A.index.min_dist(B.packed).max())

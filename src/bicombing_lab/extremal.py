@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import ConvexFunctional, PointNet, _pair_blocks, dist_to_net
+from .convexity import ConvexFunctional, PointNet, _pair_blocks
 from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
 
 
@@ -47,6 +47,9 @@ class ExtremalParams:
     face_tol: float = 0.0125
 
     def __post_init__(self):
+        for name in ("eps", "delta", "face_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps <= 0:
             raise InvalidInputError("hit radius eps must be positive")
         if self.delta < self.eps:
@@ -79,9 +82,7 @@ def argmax_face(
     if E.space is not space:
         raise InvalidInputError("net belongs to a different space")
     vals = np.asarray(phi.evaluate_packed(space, E.packed), dtype=float)
-    keep = vals >= vals.max() - face_tol
-    pts = [p for p, k in zip(E.points, keep) if k]
-    return PointNet._assemble(space, pts, E.eps)
+    return E.take(np.flatnonzero(vals >= vals.max() - face_tol))
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,11 @@ def is_extremal_point(
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
     space.validate_point(p)
-    dpx = space.dist_to_packed(p, C.packed)
+    target = space.pack([p])
+    dpx = space.dist_matrix(target, C.packed)[0]
     if float(dpx.min()) > params.eps:
         raise InvalidInputError("query point lies farther than eps from the net")
-    found = _first_chord(space, C, space.pack([p]), dpx, params)
+    found = _first_chord(space, C, target, dpx, params)
     if found is None:
         return ExtremalVerdict(extremal=True, witness=None)
     i, j, t = found
@@ -160,24 +162,28 @@ def is_extremal_point(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalScan:
-    """Batch extremal detection outcome; empty results carry a diagnostic
+    """Batch extremal detection outcome: the rows of the scanned net that
+    survive, and their sub-net, taken once.  Empty results carry a diagnostic
     instead of raising, since emptiness signals a discretization failure."""
 
-    space: BicombedSpace
-    points: tuple[Point, ...]
-    eps: float
+    rows: np.ndarray
+    survivors: PointNet
     diagnostic: str | None
 
     @property
+    def points(self) -> tuple[Point, ...]:
+        return self.survivors.points
+
+    @property
     def is_empty(self) -> bool:
-        return not self.points
+        return not len(self.survivors)
 
     def net(self) -> PointNet:
-        if not self.points:
+        if self.is_empty:
             raise InvalidInputError("extremal set came back empty; " + (self.diagnostic or ""))
-        return PointNet._assemble(self.space, self.points, self.eps)
+        return self.survivors
 
 
 def extremal_points(
@@ -193,23 +199,21 @@ def extremal_points(
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
-    m = len(C.points)
-    if m == 1:
-        return ExtremalScan(space, C.points, C.eps, None)
-    pts: list[Point] = []
-    for pi in range(m):
+    rows = []
+    for pi in range(len(C)):
         target = space.packed_take(C.packed, np.array([pi]))
         d_to_p = space.dist_matrix(C.packed, target)[:, 0]
         if _first_chord(space, C, target, d_to_p, params) is None:
-            pts.append(C.points[pi])
+            rows.append(pi)
 
     diagnostic = None
-    if not pts:
+    if not rows:
         diagnostic = (
             "no extremal points at this discretization; a compact convex set "
             "always has some, so retry with smaller eps or a tighter hit radius"
         )
-    return ExtremalScan(space, tuple(pts), C.eps, diagnostic)
+    rows = np.array(rows, dtype=np.int64)
+    return ExtremalScan(rows, C.take(rows), diagnostic)
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,7 @@ def is_extremal_set(
     """
     if C.space is not space or E.space is not space:
         raise InvalidInputError("nets belong to a different space")
-    if not E.points:
+    if not len(E):
         raise InvalidInputError("an extremal set must be non-empty")
     containment = float(C.index.min_dist(E.packed).max())
     if containment > params.eps:
@@ -243,7 +247,7 @@ def is_extremal_set(
         )
     r_in = params.eps
     r_out = max(params.eps, C.eps)
-    m = len(C.points)
+    m = len(C)
     ts_int = params.interior_ts()
     ts_full = np.concatenate([[0.0], ts_int, [1.0]])
     # a block's chord entries stay within a quarter of a distance block: lp and
@@ -304,7 +308,7 @@ def minimal_extremal_descent(
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
     space.validate_point(start)
-    if dist_to_net(space, C, start) > params.eps:
+    if float(C.index.min_dist(space.pack([start]))[0]) > params.eps:
         raise InvalidInputError("descent start lies farther than eps from the net")
 
     face = C
@@ -322,6 +326,6 @@ def minimal_extremal_descent(
 
 def canonical_starts(C: PointNet, count: int = 5) -> list[Point]:
     """Deterministic descent starts: evenly spaced picks from the canonical order."""
-    m = len(C.points)
+    m = len(C)
     idx = sorted({round(i * (m - 1) / max(count - 1, 1)) for i in range(count)})
     return [C.points[i] for i in idx]

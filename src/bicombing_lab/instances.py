@@ -202,6 +202,8 @@ def point_from_obj(obj: Any, path: str = "point") -> Point:
         coords = obj.get("coords")
         if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
             raise InstanceFormatError(f"{path}.coords: expected a list of numbers")
+        if not all(math.isfinite(c) for c in coords):
+            raise InstanceFormatError(f"{path}.coords: expected finite numbers")
         if kind == "hyperboloid":
             if len(coords) != 3:
                 raise InstanceFormatError(f"{path}.coords: hyperboloid points have 3 coordinates")
@@ -299,8 +301,8 @@ def instance_from_obj(obj: Any) -> InstanceFile:
         if k in ("t_grid", "segment_samples", "max_rounds", "rng_seed"):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InstanceFormatError(f"params.{k}: expected an integer")
-        elif not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InstanceFormatError(f"params.{k}: expected a number")
+        elif not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise InstanceFormatError(f"params.{k}: expected a finite number")
         kwargs[k] = v
     params = InstanceParams(**kwargs)
     if params.eps <= 0 or params.hit_eps <= 0:

@@ -33,12 +33,6 @@ from .space_core import BicombedSpace, InvalidInputError
 
 
 @dataclass(frozen=True)
-class HullConfig:
-    segment_samples: int = 8
-    max_rounds: int = 64
-
-
-@dataclass(frozen=True)
 class KMReport:
     """Outcome of the extremal-reconstruction check on one net.
 
@@ -66,11 +60,13 @@ def verify_krein_milman(
     space: BicombedSpace,
     C: PointNet,
     params: ExtremalParams,
-    hull_cfg: HullConfig = HullConfig(),
+    segment_samples: int = 8,
+    max_rounds: int = 64,
     pass_factor: float = 3.0,
 ) -> tuple[KMReport, dict]:
     """Detect the extremal points of C, close them under segments, and measure
-    the Hausdorff gap back to C.
+    the Hausdorff gap back to C.  segment_samples and max_rounds go to the
+    hull closure of the extremal points.
 
     The caller must supply a net that is already segment-closed at its
     resolution (a converged hull_closure output); this is not re-verified here
@@ -106,7 +102,7 @@ def verify_krein_milman(
 
     ext_net = scan.net()
     t0 = time.perf_counter()
-    hull = hull_closure(space, ext_net, hull_cfg.segment_samples, hull_cfg.max_rounds)
+    hull = hull_closure(space, ext_net, segment_samples, max_rounds)
     timings["hull_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -179,7 +175,8 @@ def run_paper_checks(
     rng_seed: int = 0,
     grid: int = 16,
     lipschitz_pairs: int = 1000,
-    hull_cfg: HullConfig = HullConfig(),
+    segment_samples: int = 8,
+    max_rounds: int = 64,
 ) -> PaperChecksReport:
     """Bundled lemma-level checks against one convex net.
 
@@ -189,14 +186,15 @@ def run_paper_checks(
     accuracy and convex along segments up to a net-resolution tolerance (the
     kink amplitude of a distance-to-finite-set scales with the net spacing);
     (c) farthest-point descents from canonical starts terminate on extremal
-    points with non-increasing face traces.
+    points with non-increasing face traces.  The sub-nets (thinned domain,
+    random subset, sample domain) are rows of C, and segment_samples and
+    max_rounds go to the closure of the random subset.
     """
     rng = np.random.default_rng(rng_seed)
-    m = len(C.points)
+    m = len(C)
 
     # thinned domain for functional convexity checks
-    stride = max(1, m // 40)
-    domain = PointNet._assemble(space, C.points[::stride], C.eps)
+    domain = C.take(np.arange(0, m, max(1, m // 40)))
 
     face_entries: list[FaceCheckEntry] = []
     for phi in functional_suite:
@@ -224,8 +222,7 @@ def run_paper_checks(
 
     # distance-to-set checks on the closure of a small random subset
     sub_idx = np.sort(rng.choice(m, size=min(4, m), replace=False))
-    seed = PointNet.build(space, [C.points[int(i)] for i in sub_idx], C.eps)
-    K = hull_closure(space, seed, hull_cfg.segment_samples, hull_cfg.max_rounds).net
+    K = hull_closure(space, C.take(sub_idx), segment_samples, max_rounds).net
     dK = ConvexFunctional.dist_to_net(K)
 
     pair_idx = rng.integers(0, m, size=(lipschitz_pairs, 2))
@@ -238,7 +235,7 @@ def run_paper_checks(
     lip_ok = lip_defect <= 1e-12
 
     sample_idx = np.sort(rng.choice(m, size=min(30, m), replace=False))
-    sample_domain = PointNet._assemble(space, [C.points[int(i)] for i in sample_idx], C.eps)
+    sample_domain = C.take(sample_idx)
     conv_tol = 2.0 * K.eps + space.base_tol
     conv = check_convex_functional(space, dK, sample_domain, grid=grid, tol=conv_tol)
 

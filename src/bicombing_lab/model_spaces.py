@@ -14,7 +14,6 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .space_core import (
-    BLOCK_ENTRIES,
     BicombedSpace,
     CoverFrame,
     EuclideanPoint,
@@ -23,6 +22,7 @@ from .space_core import (
     Point,
     ProductPoint,
     TreePoint,
+    _row_blocks,
     worker_count,
 )
 
@@ -86,13 +86,6 @@ def _affine_frame(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, s, Vt = np.linalg.svd(P - origin, full_matrices=False)
     k = int((s > _FLAT_RTOL * s[0]).sum()) if s[0] > 0 else 0
     return origin, Vt[:k]
-
-
-def _row_blocks(n_rows: int, width: int) -> list[slice]:
-    """Row slices covering range(n_rows) whose temporaries of rows x width
-    entries stay within BLOCK_ENTRIES each."""
-    rows = max(1, BLOCK_ENTRIES // max(width, 1))
-    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
 def _dist_to_simplex_faces(Q: np.ndarray, V: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -463,12 +456,10 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
         cancellation (nearby points) are refined from coordinate differences
         over the near-tied columns.
         """
-        na, nb = A.shape[0], B.shape[0]
         Bs = (B * _MINK_SIGNS).T
-        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
-        out = np.empty(na)
-        for lo in range(0, na, rows):
-            Ab = A[lo : lo + rows]
+        out = np.empty(A.shape[0])
+        for rows in _row_blocks(A.shape[0], B.shape[0]):
+            Ab = A[rows]
             q = -2.0 - 2.0 * (Ab @ Bs)
             qmin = q.min(axis=1)
             small = np.nonzero(qmin < 1e-4)[0]
@@ -478,7 +469,7 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
                 refined = np.full(len(small), np.inf)
                 np.minimum.at(refined, ra, _minkowski_sq(Ab[small][ra] - B[cb]))
                 qmin[small] = refined
-            out[lo : lo + rows] = _chord_dist(qmin)
+            out[rows] = _chord_dist(qmin)
         return out
 
     def cover_frame(self, packed):
@@ -1066,11 +1057,6 @@ class ProductSpace(BicombedSpace):
         if self._joint_lp2:
             return _ReflectedChords(packed, 2.0)
         return super().make_chord_finder(packed)
-
-    def min_dist(self, A, B) -> np.ndarray:
-        if self._joint_lp2:
-            return self.make_index(B).min_dist(A)
-        return super().min_dist(A, B)
 
     def close_pairs(self, packed, r: float):
         if self._joint_lp2:

@@ -26,6 +26,13 @@ class InvalidInputError(ValueError):
 BLOCK_ENTRIES = 1 << 18
 
 
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Row slices covering range(n_rows) whose temporaries of rows x width
+    entries stay within BLOCK_ENTRIES each."""
+    rows = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
@@ -159,10 +166,9 @@ class _AlignedChords:
                    eps: float, ts: np.ndarray):
         """Yield (I, J) blocks, I < J, of eligible pairs passing the filter."""
         A = d_to_target[elig]
-        rows = max(1, BLOCK_ENTRIES // len(elig))
-        for lo in range(0, len(elig) - 1, rows):
-            R = elig[lo : lo + rows]
-            aligned = (A[lo : lo + rows, None] + A[None, :]) < (
+        for rows in _row_blocks(len(elig) - 1, len(elig)):
+            R = elig[rows]
+            aligned = (A[rows, None] + A[None, :]) < (
                 self.D[np.ix_(R, elig)] + 2.0 * eps + _ALIGN_SLACK
             )
             aligned &= R[:, None] < elig[None, :]
@@ -209,25 +215,20 @@ class BicombedSpace:
         na, nb = self.packed_len(A), self.packed_len(B)
         if na == 0 or nb == 0:
             return np.zeros((na, nb))
-        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
-        if rows >= na:
+        blocks = _row_blocks(na, nb)
+        if len(blocks) == 1:
             return self._dist_block(A, B)
         out = np.empty((na, nb))
-        for lo in range(0, na, rows):
-            hi = min(lo + rows, na)
-            out[lo:hi] = self._dist_block(self.packed_take(A, np.arange(lo, hi)), B)
+        for rows in blocks:
+            out[rows] = self._dist_block(self.packed_take(A, np.arange(na)[rows]), B)
         return out
 
     def min_dist(self, A, B) -> np.ndarray:
         """Per-row minimum distance from packed set A into packed set B."""
         na, nb = self.packed_len(A), self.packed_len(B)
-        rows = max(1, BLOCK_ENTRIES // max(nb, 1))
         out = np.empty(na)
-        for lo in range(0, na, rows):
-            hi = min(lo + rows, na)
-            out[lo:hi] = self._dist_block(
-                self.packed_take(A, np.arange(lo, hi)), B
-            ).min(axis=1)
+        for rows in _row_blocks(na, nb):
+            out[rows] = self._dist_block(self.packed_take(A, np.arange(na)[rows]), B).min(axis=1)
         return out
 
     def close_pairs(self, packed, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +238,6 @@ class BicombedSpace:
         with KD-tree pairs re-decided by ``paired_dist``."""
         D = self.dist_matrix(packed, packed)
         return np.nonzero(np.triu(D.T < r, k=1))
-
-    def dist_to_packed(self, p: Point, packed) -> np.ndarray:
-        return self.dist_matrix(self.pack([p]), packed)[0]
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Per-row distance from packed set A to the closed convex hull of the

@@ -21,7 +21,6 @@ import oracles
 from bicombing_lab import (
     ConvexFunctional,
     ExtremalParams,
-    HullConfig,
     NormedSpaceSpec,
     PointNet,
     ProductPoint,
@@ -106,11 +105,12 @@ def km_instances():
 def _km_run(inst):
     space = inst.build_space()
     seed = inst.seed_net(space)
-    cfg = HullConfig(inst.params.segment_samples, inst.params.max_rounds)
-    hull = hull_closure(space, seed, cfg.segment_samples, cfg.max_rounds)
+    samples, max_rounds = inst.params.segment_samples, inst.params.max_rounds
+    hull = hull_closure(space, seed, samples, max_rounds)
     assert hull.converged
     rep, nets = verify_krein_milman(
-        space, hull.net, inst.params.extremal_params(), cfg, inst.params.pass_factor
+        space, hull.net, inst.params.extremal_params(), samples, max_rounds,
+        inst.params.pass_factor,
     )
     return space, hull.net, rep, nets
 
@@ -378,7 +378,7 @@ def test_criterion_7_hull_properties(capsys, plane, path_tree):
         assert res.converged
         again = hull_closure(space, res.net)
         idem = hausdorff(space, again.net, res.net)
-        raster = PointNet._assemble(space, sorted(set(raster_pts), key=canonical_key), eps)
+        raster = PointNet(space, space.pack(sorted(set(raster_pts), key=canonical_key)), eps)
         exact = hausdorff(space, res.net, raster)
         if idem > eps or exact > 2 * eps:
             bad.append((tag, idem, exact))

@@ -28,8 +28,8 @@ from bicombing_lab import (
     check_convex_functional,
     directed_excess,
     distance,
-    dist_to_net,
     euclidean,
+    extremal_points,
     hausdorff,
     hull_closure,
     hyperbolic_point_at,
@@ -65,14 +65,20 @@ def test_net_build_rejects_empty_and_bad_eps(plane):
         PointNet.build(plane, [], 0.1)
     with pytest.raises(InvalidInputError):
         PointNet.build(plane, [euclidean(0, 0)], 0.0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            PointNet.build(plane, [euclidean(0, 0)], eps)
+    with pytest.raises(InvalidInputError):
+        PointNet.build(plane, [euclidean(math.nan, 1.0)], 0.1)
 
 
 def test_dist_to_net_examples(plane, star3):
     corners = PointNet.build(plane, [euclidean(a, b) for a in (0, 1) for b in (0, 1)], 0.1)
-    assert dist_to_net(plane, corners, euclidean(1, 0)) == 0.0
-    assert dist_to_net(plane, corners, euclidean(2, 0)) == 1.0
+    to_corners = ConvexFunctional.dist_to_net(corners)
+    assert to_corners.evaluate(plane, euclidean(1, 0)) == 0.0
+    assert to_corners.evaluate(plane, euclidean(2, 0)) == 1.0
     leaves = PointNet.build(star3, [star3.node_point(f"l{i}") for i in range(3)], 0.1)
-    assert dist_to_net(star3, leaves, star3.node_point("c")) == 1.0
+    assert ConvexFunctional.dist_to_net(leaves).evaluate(star3, star3.node_point("c")) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +99,10 @@ def test_hull_triangle_barycentric_and_raster(plane):
     assert res.converged
     for p in res.net.points:
         assert oracles.barycentric_in_triangle(p.coords, (0, 0), (1, 0), (0, 1))
-    raster = PointNet._assemble(
+    raster = PointNet(
         plane,
-        sorted((euclidean(*c) for c in oracles.triangle_raster(0.01)), key=canonical_key),
+        plane.pack(sorted((euclidean(*c) for c in oracles.triangle_raster(0.01)),
+                          key=canonical_key)),
         0.05,
     )
     assert hausdorff(plane, res.net, raster) <= 0.05
@@ -115,7 +122,7 @@ def test_hull_two_leaves_covers_path_only(star3):
     for p in res.net.points:
         assert p.edge in (0, 1) or p.offset in (0.0, 1.0)
     path_pts = [star3.point_on_edge(e, round(k * 0.01, 10)) for e in (0, 1) for k in range(101)]
-    path_net = PointNet._assemble(star3, sorted(set(path_pts), key=canonical_key), 0.05)
+    path_net = PointNet(star3, star3.pack(sorted(set(path_pts), key=canonical_key)), 0.05)
     assert hausdorff(star3, res.net, path_net) <= 0.05
 
 
@@ -177,6 +184,32 @@ def test_hull_closure_matches_brute_oracle(case):
     res = hull_closure(space, seed)
     assert res.converged
     assert list(res.net.points) == oracles.brute_hull_closure(space, seed)
+
+
+def _packed_bytes(packed) -> list:
+    """Dtype, shape and bytes of every array of a packed set, in order."""
+    if isinstance(packed, tuple):
+        return [b for part in packed for b in _packed_bytes(part)]
+    if isinstance(packed, dict):
+        return [(k, b) for k, v in packed.items() for b in _packed_bytes(v)]
+    return [(packed.dtype.str, packed.shape, packed.tobytes())]
+
+
+@pytest.mark.parametrize("kind", ["simplex", "hyp_triangle", "tree_leaves", "product_demo"])
+def test_nets_own_their_packed_rows(kind):
+    """A net's packed rows are the truth: its points pack back to them, they
+    survive a rebuild from those points, and an extremal scan's net is the
+    rows of the scanned net that it names."""
+    inst = generate_instance(kind)
+    space, eps = build_space(inst.space), inst.params.eps
+    net = hull_closure(space, PointNet.build(space, inst.seed_points, eps)).net
+    assert _packed_bytes(net.packed) == _packed_bytes(space.pack(net.points))
+    assert _packed_bytes(PointNet.build(space, net.points, eps).packed) == _packed_bytes(net.packed)
+    scan = extremal_points(space, net, inst.params.extremal_params())
+    assert not scan.is_empty
+    assert _packed_bytes(scan.net().packed) == _packed_bytes(
+        space.packed_take(net.packed, scan.rows))
+    assert scan.points == tuple(net.points[i] for i in scan.rows)
 
 
 def test_hull_queries_under_a_tenth_of_samples(hplane):
@@ -823,9 +856,10 @@ def test_hausdorff_examples(plane):
     assert hausdorff(plane, A, B) == 3.0
     assert hausdorff(plane, B, A) == 3.0
     corners = PointNet.build(plane, [euclidean(a, b) for a in (0, 1) for b in (0, 1)], 0.1)
-    raster = PointNet._assemble(
+    raster = PointNet(
         plane,
-        sorted((euclidean(*c) for c in oracles.square_raster(0.01)), key=canonical_key),
+        plane.pack(sorted((euclidean(*c) for c in oracles.square_raster(0.01)),
+                          key=canonical_key)),
         0.1,
     )
     assert hausdorff(plane, corners, raster) == pytest.approx(math.sqrt(2) / 2, abs=0.02)

@@ -54,6 +54,10 @@ def test_params_validation():
         ExtremalParams(eps=0.1, delta=0.1, t_grid=2)
     with pytest.raises(InvalidInputError):
         ExtremalParams(eps=0.1, delta=0.1, face_tol=0.0)
+    for bad in ({"eps": math.inf, "delta": math.inf}, {"eps": 0.1, "delta": math.nan},
+                {"eps": 0.1, "delta": 0.1, "face_tol": math.nan}):
+        with pytest.raises(InvalidInputError):
+            ExtremalParams(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +308,14 @@ def test_extremal_set_whole_net(plane):
 
 
 def test_extremal_set_square_side(plane, square_grid, grid_params):
-    side = PointNet._assemble(
-        plane, [p for p in square_grid.points if p.coords[1] == 0.0], 0.05
+    side = PointNet(
+        plane, plane.pack([p for p in square_grid.points if p.coords[1] == 0.0]), 0.05
     )
     assert is_extremal_set(plane, square_grid, side, grid_params).extremal
 
 
 def test_extremal_set_center_fails(plane, square_grid, grid_params):
-    center = PointNet._assemble(plane, [euclidean(0.5, 0.5)], 0.05)
+    center = PointNet(plane, plane.pack([euclidean(0.5, 0.5)]), 0.05)
     verdict = is_extremal_set(plane, square_grid, center, grid_params)
     assert not verdict.extremal
     assert verdict.witness is not None

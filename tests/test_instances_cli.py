@@ -201,6 +201,47 @@ def test_cli_exit_code_on_bad_inputs(tmp_path, capsys):
     assert main(["check-axioms", "--instance", str(half), "--quiet"]) == 2
 
 
+def _set_coords(index, coords):
+    return lambda obj: obj["seed_points"][index].update(coords=coords)
+
+
+def _set_param(name, value):
+    return lambda obj: obj["params"].update({name: value})
+
+
+#: non-finite inputs: argv (the instance file, when there is one, is added
+#: after the subcommand), the generator kind and edit of that file, and the
+#: field the diagnostic names
+_NON_FINITE_CASES = {
+    "run-eps-nan": (["hull", "--eps", "nan"], "square", None, "--eps"),
+    "run-eps-inf": (["hull", "--eps", "inf"], "square", None, "--eps"),
+    "gen-eps-nan": (["gen", "square", "--eps", "nan"], None, None, "--eps"),
+    "gen-step-inf": (["gen", "square", "--step", "inf"], None, None, "--step"),
+    "euclidean-coords": (["hull"], "square", _set_coords(0, [math.nan, 1.0]),
+                         "seed_points[0].coords"),
+    "hyperboloid-coords": (["hull"], "hyp_triangle", _set_coords(1, [1.0, math.inf, 0.0]),
+                           "seed_points[1].coords"),
+    "params-eps": (["hull"], "square", _set_param("eps", math.nan), "params.eps"),
+    "params-delta": (["verify-km"], "square", _set_param("delta", math.inf), "params.delta"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
+def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
+    argv, kind, edit, field = _NON_FINITE_CASES[case]
+    if kind is not None:
+        obj = instance_to_obj(generate_instance(kind))
+        if edit is not None:
+            edit(obj)
+        inst = tmp_path / "inst.json"
+        inst.write_text(dumps_canonical(obj))
+        argv = argv[:1] + ["--instance", str(inst), "--quiet"] + argv[1:]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_threads_env_validated(tmp_path, monkeypatch):
     monkeypatch.setenv("BICOMBING_LAB_THREADS", "many")
     assert main(["gen", "square", "--out", str(tmp_path / "s.json")]) == 2

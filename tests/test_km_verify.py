@@ -11,7 +11,6 @@ import pytest
 from bicombing_lab import (
     ConvexFunctional,
     ExtremalParams,
-    HullConfig,
     PointNet,
     euclidean,
     hull_closure,

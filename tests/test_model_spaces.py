@@ -468,6 +468,21 @@ def test_product_of_lines_matches_plane(plane, product_space):
         assert dp == pytest.approx(d2, abs=1e-14)
 
 
+@pytest.mark.parametrize("case", ["l1", "l2", "linf", "l2xl2"])
+def test_min_dist_is_dense_row_minima(case):
+    """min_dist(A, B) is dist_matrix(A, B).min(axis=1), bit for bit, over
+    queries spanning two row blocks."""
+    rng = np.random.default_rng(12)
+    A, B = rng.uniform(-1, 1, (700, 3)), rng.uniform(-1, 1, (500, 3))
+    if case == "l2xl2":
+        space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(2, 2.0)),
+                                              make_lp_space(NormedSpaceSpec(1, 2.0))))
+        A, B = (np.ascontiguousarray(A[:, :2]), A[:, 2:]), (np.ascontiguousarray(B[:, :2]), B[:, 2:])
+    else:
+        space = make_lp_space(NormedSpaceSpec(3, {"l1": 1.0, "l2": 2.0, "linf": math.inf}[case]))
+    assert space.min_dist(A, B).tobytes() == space.dist_matrix(A, B).min(axis=1).tobytes()
+
+
 def test_product_tree_times_line_distances(star3):
     line = make_lp_space(NormedSpaceSpec(1, 2.0))
     prod = make_product(ProductSpaceSpec(star3, line))
