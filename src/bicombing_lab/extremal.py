@@ -9,16 +9,21 @@ endpoints stay outside the exclusion radius delta.  The exclusion radius keeps
 chords that merely end near p from counting as crossings; without it every
 boundary point of a smooth set would be misclassified.
 
-One scan serves is_extremal_point and extremal_points.  Its candidate step
-comes from the net's chord finder (``BicombedSpace.make_chord_finder``, built
-once per net) and proposes a superset of the hitting chords: in lp spaces and
-l^2 x l^2 products, where segments are linear, a chord from x hits p's ball at
-t exactly when its other end lies within eps/t of the reflected point
-(p - (1-t)x)/t, so one ball query per (x, t) finds them; elsewhere the
-alignment filter d(i,p) + d(j,p) < d(i,j) + 2*eps over a dense distance
-matrix does.  Its confirm step evaluates every candidate with the space's
-``chord_dists`` and tests the strict ``< eps``, so verdicts rest only on
-evaluated chords.
+One chord scan serves is_extremal_point, extremal_points and
+is_extremal_set; its target is a packed set, and a point is a set of one.
+Its candidate step comes from the net's chord finder
+(``BicombedSpace.make_chord_finder``, built once per net) and proposes a
+superset of the chords passing within the hit radius of some target: in lp
+spaces and l^2 x l^2 products, where segments are linear, a chord from x hits
+the ball of a target q at t exactly when its other end lies within eps/t of
+the reflected point (q - (1-t)x)/t, so one ball query per (q, x, t) finds
+them; elsewhere the alignment filter min over q of d(i,q) + d(j,q) <
+d(i,j) + 2*eps over a dense distance matrix does.  Its confirm step evaluates
+every candidate with the space's ``chord_dists``, so verdicts rest only on
+evaluated chords.  Point verdicts confirm candidates lazily, nearest first,
+and test the strict ``< eps``; set verdicts confirm them in row-major pair
+order and test for a crossing, so the witness is the first crossing pair of
+the full pair order.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import ConvexFunctional, PointNet, _pair_blocks
+from .convexity import ConvexFunctional, PointNet
 from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point
 
 
@@ -123,7 +128,7 @@ def _first_chord(
         return None
     ts = params.interior_ts()
     batch, max_batch = _FIRST_BATCH, max(_FIRST_BATCH, BLOCK_ENTRIES // 4 // len(ts))
-    for I, J in C.chord_finder.candidates(target, d_to_target, elig, params.eps, ts):
+    for I, J in C.chord_finder.candidates(target, d_to_target[:, None], elig, params.eps, ts):
         lo = 0
         while lo < len(I):
             Ib, Jb = I[lo : lo + batch], J[lo : lo + batch]
@@ -235,6 +240,14 @@ def is_extremal_set(
     otherwise witness against every face, including genuinely extremal ones.
     Entry uses params.eps and exit uses the coarser of params.eps and the net
     resolution, so gaps between the stored points of E never count as exits.
+
+    Runs the chord scan of is_extremal_point with E as its target set and no
+    endpoint exclusion: a crossing chord has an interior sample strictly
+    within params.eps of E, so the chord finder proposes it.  The proposed
+    pairs are deduplicated into row-major order (i < j) and evaluated with
+    ``chord_dists`` in chunks; the witness is the first crossing pair and its
+    first entry and exit parameters, the same chord a scan of every pair
+    returns.
     """
     if C.space is not space or E.space is not space:
         raise InvalidInputError("nets belong to a different space")
@@ -250,10 +263,16 @@ def is_extremal_set(
     m = len(C)
     ts_int = params.interior_ts()
     ts_full = np.concatenate([[0.0], ts_int, [1.0]])
+    d_to_E = space.dist_matrix(C.packed, E.packed)
+    keys = [I * m + J for I, J in
+            C.chord_finder.candidates(E.packed, d_to_E, np.arange(m), r_in, ts_int)]
+    # sorted unique keys i*m + j are the pairs in row-major order
+    I_all, J_all = np.divmod(np.unique(np.concatenate([np.empty(0, np.int64), *keys])), m)
     # a block's chord entries stay within a quarter of a distance block: lp and
     # hyperbolic chords also hold sample coordinates and their differences to E
     chunk = max(1, BLOCK_ENTRIES // 4 // (len(ts_full) * len(E)))
-    for I, J in _pair_blocks(0, m, True, chunk):
+    for lo in range(0, len(I_all), chunk):
+        I, J = I_all[lo : lo + chunk], J_all[lo : lo + chunk]
         dd = space.chord_dists(C.packed, I, J, ts_full, E.packed).min(axis=2)  # (P, g+2)
         out = dd > r_out
         out_before = np.cumsum(out, axis=1) > 0

@@ -117,7 +117,7 @@ def build_space(desc: dict, path: str = "space") -> BicombedSpace:
         p = desc.get("p")
         if p == "inf":
             p = math.inf
-        if not isinstance(p, (int, float)):
+        if not isinstance(p, (int, float)) or not (_finite(p) or p == math.inf):
             raise InstanceFormatError(f"{path}.p: expected a number or \"inf\"")
         return make_lp_space(NormedSpaceSpec(dim, float(p)))
     if kind == "hyperbolic":
@@ -134,7 +134,8 @@ def build_space(desc: dict, path: str = "space") -> BicombedSpace:
         parsed = []
         for i, e in enumerate(edges):
             if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-                    and isinstance(e[1], str) and isinstance(e[2], (int, float))):
+                    and isinstance(e[1], str) and isinstance(e[2], (int, float))
+                    and _finite(e[2])):
                 raise InstanceFormatError(f"{path}.edges[{i}]: expected [tail, head, length]")
             parsed.append((e[0], e[1], float(e[2])))
         return make_metric_tree(MetricTreeSpec(tuple(nodes), tuple(parsed)))
@@ -202,7 +203,7 @@ def point_from_obj(obj: Any, path: str = "point") -> Point:
         coords = obj.get("coords")
         if not isinstance(coords, list) or not all(isinstance(c, (int, float)) for c in coords):
             raise InstanceFormatError(f"{path}.coords: expected a list of numbers")
-        if not all(math.isfinite(c) for c in coords):
+        if not all(_finite(c) for c in coords):
             raise InstanceFormatError(f"{path}.coords: expected finite numbers")
         if kind == "hyperboloid":
             if len(coords) != 3:
@@ -215,8 +216,8 @@ def point_from_obj(obj: Any, path: str = "point") -> Point:
         offset = obj.get("offset")
         if not isinstance(edge, int) or isinstance(edge, bool):
             raise InstanceFormatError(f"{path}.edge: expected an integer edge index")
-        if not isinstance(offset, (int, float)):
-            raise InstanceFormatError(f"{path}.offset: expected a number")
+        if not isinstance(offset, (int, float)) or not _finite(offset):
+            raise InstanceFormatError(f"{path}.offset: expected a finite number")
         return TreePoint(edge, float(offset))
     if kind == "product":
         _reject_unknown(obj, {"kind", "left", "right"}, path)
@@ -301,7 +302,7 @@ def instance_from_obj(obj: Any) -> InstanceFile:
         if k in ("t_grid", "segment_samples", "max_rounds", "rng_seed"):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InstanceFormatError(f"params.{k}: expected an integer")
-        elif not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        elif not isinstance(v, (int, float)) or isinstance(v, bool) or not _finite(v):
             raise InstanceFormatError(f"params.{k}: expected a finite number")
         kwargs[k] = v
     params = InstanceParams(**kwargs)
@@ -432,6 +433,14 @@ def _expect_str(obj: dict, key: str, path: str) -> str:
     if not isinstance(v, str):
         raise InstanceFormatError(f"{path}.{key}: expected a string")
     return v
+
+
+def _finite(v: int | float) -> bool:
+    """math.isfinite, and False for an integer beyond the float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _expect_int(obj: dict, key: str, path: str) -> int:

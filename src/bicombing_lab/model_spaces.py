@@ -234,16 +234,17 @@ def _kd_close_pairs(space, packed, r: float, p: float):
 
 
 class _ReflectedChords:
-    """Candidate chords through a target ball by reflected-endpoint ball
+    """Candidate chords through a target set by reflected-endpoint ball
     queries, for a packed set whose segment map is linear in coordinates that
     a p-norm measures (lp spaces; l^2 x l^2 products on joined coordinates).
 
     On a linear chord (1-t)x + ty - q = t(y - y*) with y* = (q - (1-t)x)/t,
-    so its sample at t lies within eps of q exactly when y lies within eps/t
-    of y*.  The t grid is symmetric, so ordered pairs (x, y) at t >= 1/2
-    cover every chord at every t, with radii at most 2*eps.  One k = 1 query
-    per (x, t) proposes the nearest y; where such a y exists, the whole ball
-    follows, for the confirm step to fall back on when no nearest y confirms.
+    so its sample at t lies within eps of a target q exactly when y lies
+    within eps/t of y*.  The t grid is symmetric, so ordered pairs (x, y) at
+    t >= 1/2 cover every chord at every t, with radii at most 2*eps.  One
+    k = 1 query per (q, x, t) proposes the nearest y; where such a y exists,
+    the whole ball follows, for the confirm step to fall back on when no
+    nearest y confirms.
     """
 
     def __init__(self, packed, p: float):
@@ -251,26 +252,30 @@ class _ReflectedChords:
 
     def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
                    eps: float, ts: np.ndarray):
-        """Yield (I, J) blocks, I < J: the nearest y of every (x, t), one t at
-        a time from t = 1/2 up, then every y in the balls where a nearest one
-        was found."""
+        """Yield (I, J) blocks, I < J: the nearest y of every (q, x, t), one t
+        at a time from t = 1/2 up and targets q in row blocks, then every y
+        in the balls where a nearest one was found.  d_to_target is unused:
+        the reflection needs only coordinates."""
         X = self.coords[elig]
-        tree = cKDTree(X)  # queried on one thread: a few hundred points per call
-        q = _joined(target)[0]
+        tree = cKDTree(X)  # one thread: a point's queries are a few hundred rows
+        Q = _joined(target)
+        blocks = _row_blocks(len(Q), len(X))
         balls = []
         for t in ts[ts >= 0.5]:
             r = eps / t * (1.0 + _BALL_MARGIN)
-            centres = (q - (1.0 - t) * X) / t
-            d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
-            hit = np.nonzero(np.isfinite(d))[0]
-            yield _ordered_pairs(elig, hit, k[hit])
-            balls.append((hit, centres[hit], r))
-        for hit, centres, r in balls:
+            for rows in blocks:
+                centres = ((Q[rows, None, :] - (1.0 - t) * X) / t).reshape(-1, X.shape[1])
+                d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
+                hit = np.nonzero(np.isfinite(d))[0]
+                xs = hit % len(X)
+                yield _ordered_pairs(elig, xs, k[hit])
+                balls.append((xs, centres[hit], r))
+        for xs, centres, r in balls:
             found = tree.query_ball_point(centres, r, p=self.p)
             counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
             ys = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64,
                              count=int(counts.sum()))
-            yield _ordered_pairs(elig, np.repeat(hit, counts), ys)
+            yield _ordered_pairs(elig, np.repeat(xs, counts), ys)
 
 
 def _ordered_pairs(elig: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -320,6 +325,8 @@ class LpSpace(_CoordinateRows, BicombedSpace):
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, EuclideanPoint) or len(p.coords) != self.n:
             raise InvalidInputError(f"{p!r} is not a point of {self.description}")
+        if not all(map(math.isfinite, p.coords)):
+            raise InvalidInputError(f"{p!r} has a non-finite coordinate")
 
     def _norms(self, diff: np.ndarray) -> np.ndarray:
         """l^p norms of difference vectors along the last axis."""
@@ -425,6 +432,8 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
         if not isinstance(p, HyperboloidPoint):
             raise InvalidInputError(f"{p!r} is not a hyperboloid point")
         c = p.coords
+        if not all(map(math.isfinite, c)):
+            raise InvalidInputError(f"{p!r} has a non-finite coordinate")
         if not c[0] > 0:
             raise InvalidInputError(f"hyperboloid point must have x0 > 0, got {c[0]}")
         q = _mink(c, c)
@@ -632,8 +641,8 @@ class TreeSpace(BicombedSpace):
             )
         adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
         for ei, (u, v, w) in enumerate(edges):
-            if w <= 0:
-                raise InvalidInputError(f"edge {ei} has non-positive length {w}")
+            if not 0 < w < math.inf:
+                raise InvalidInputError(f"edge {ei} has length {w}; need a finite positive one")
             if u not in self._node_idx or v not in self._node_idx:
                 raise InvalidInputError(f"edge {ei} references unknown node")
             ui, vi = self._node_idx[u], self._node_idx[v]

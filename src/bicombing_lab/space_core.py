@@ -149,14 +149,14 @@ _ALIGN_SLACK = 1e-9
 
 
 class _AlignedChords:
-    """Candidate chords through a target ball by the alignment filter, over
+    """Candidate chords through a target set by the alignment filter, over
     one dense distance matrix of a fixed packed point set.
 
-    A chord [i, j] whose sample at parameter t lies within eps of the target
+    A chord [i, j] whose sample at parameter t lies within eps of a target e
     sits at distance t*L and (1-t)*L from its endpoints (L = d(i, j), the
     segment has constant speed), so the triangle inequality forces
-    d(i, target) + d(j, target) < L + 2*eps.  Every pair passing that
-    necessary condition is a candidate.
+    d(i, e) + d(j, e) < L + 2*eps.  Every pair passing that necessary
+    condition for some target is a candidate.
     """
 
     def __init__(self, space: "BicombedSpace", packed):
@@ -164,13 +164,16 @@ class _AlignedChords:
 
     def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
                    eps: float, ts: np.ndarray):
-        """Yield (I, J) blocks, I < J, of eligible pairs passing the filter."""
+        """Yield (I, J) blocks, I < J, of eligible pairs passing the filter;
+        d_to_target holds the distances from every stored row (rows) to every
+        target (columns)."""
         A = d_to_target[elig]
         for rows in _row_blocks(len(elig) - 1, len(elig)):
             R = elig[rows]
-            aligned = (A[rows, None] + A[None, :]) < (
-                self.D[np.ix_(R, elig)] + 2.0 * eps + _ALIGN_SLACK
-            )
+            through = A[rows, None, 0] + A[None, :, 0]
+            for k in range(1, A.shape[1]):
+                np.minimum(through, A[rows, None, k] + A[None, :, k], out=through)
+            aligned = through < self.D[np.ix_(R, elig)] + 2.0 * eps + _ALIGN_SLACK
             aligned &= R[:, None] < elig[None, :]
             ri, ci = np.nonzero(aligned)
             yield R[ri], elig[ci]
@@ -257,8 +260,9 @@ class BicombedSpace:
     def make_chord_finder(self, packed) -> _AlignedChords:
         """Candidate step of the extremal scan over a fixed packed set: its
         ``candidates`` yield a superset of the stored pairs whose chords pass
-        within eps of a target.  Spaces whose segment map is linear in a p-norm
-        override this with reflected-endpoint ball queries."""
+        within eps of some row of a packed target set.  Spaces whose segment
+        map is linear in a p-norm override this with reflected-endpoint ball
+        queries."""
         return _AlignedChords(self, packed)
 
     def chord_dists(

@@ -232,6 +232,40 @@ def brute_extremal_tree(space, C: PointNet, h: float, delta: float,
     return out
 
 
+def brute_extremal_set(space, C: PointNet, E: PointNet, params):
+    """All-pairs set-extremality scan: every pair (i, j), i < j, of C in
+    row-major order, evaluated with ``chord_dists`` at 0, every interior grid
+    parameter and 1 against every point of E, with no candidate step.
+
+    This is the library's set test before it proposed candidate chords: a
+    chord crosses E when an interior sample is strictly within params.eps of
+    E and samples on both sides lie beyond max(params.eps, C.eps).  Returns
+    the SetVerdict of the first crossing pair, with the parameters of its
+    first crossing and its first exit.
+    """
+    from bicombing_lab.extremal import ChordWitness, SetVerdict
+
+    r_in, r_out = params.eps, max(params.eps, C.eps)
+    ts = np.concatenate([[0.0], params.interior_ts(), [1.0]])
+    I_all, J_all = np.triu_indices(len(C), 1)
+    chunk = max(1, 20_000 // (len(ts) * len(E)))
+    for lo in range(0, len(I_all), chunk):
+        I, J = I_all[lo : lo + chunk], J_all[lo : lo + chunk]
+        dd = space.chord_dists(C.packed, I, J, ts, E.packed).min(axis=2)
+        out = dd > r_out
+        before = np.logical_or.accumulate(out, axis=1)[:, :-2]
+        after = np.logical_or.accumulate(out[:, ::-1], axis=1)[:, ::-1][:, 2:]
+        crossing = (dd[:, 1:-1] < r_in) & before & after  # interior parameters
+        rows = np.nonzero(crossing.any(axis=1))[0]
+        if len(rows):
+            r = int(rows[0])
+            return SetVerdict(False, ChordWitness(
+                x=C.points[int(I[r])], y=C.points[int(J[r])],
+                t_enter=float(ts[1 + int(np.argmax(crossing[r]))]),
+                t_exit=float(ts[int(np.argmax(out[r]))])))
+    return SetVerdict(True, None)
+
+
 def _axiom_geometry(space):
     """(convert, segment, distance) for lp spaces, metric trees and their
     products.  convert(p) gives this module's form of a point, segment(x, y,

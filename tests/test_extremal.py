@@ -4,15 +4,18 @@ against independent oracles, farthest-point descent."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import CATERPILLAR_EDGES, CATERPILLAR_NODES
 from bicombing_lab import (
     ConvexFunctional,
     ExtremalParams,
     InvalidInputError,
+    MetricTreeSpec,
     NormedSpaceSpec,
     PointNet,
     ProductPoint,
@@ -27,8 +30,11 @@ from bicombing_lab import (
     is_extremal_point,
     is_extremal_set,
     make_lp_space,
+    make_metric_tree,
     minimal_extremal_descent,
 )
+from bicombing_lab.cli import _default_suite
+from bicombing_lab.instances import generate_instance
 
 
 #: spaces whose extremal scan runs on reflected-endpoint ball queries, by id;
@@ -351,6 +357,55 @@ def test_faces_are_extremal_sets_on_models(hplane, hyp_triangle_hull, hyp_params
     for anchor in leaves:
         face = argmax_face(t, Ct, ConvexFunctional.dist_to_point(anchor), tree_params.face_tol)
         assert is_extremal_set(t, Ct, face, tree_params).extremal
+
+
+#: instances for the set-verdict oracle, by id: generator options (None for
+#: the caterpillar tree seeded with its leaves), and whether to re-check at a
+#: tight hit radius of 0.4 eps, where faces failing at the generator's own
+#: radii pass
+SET_ORACLE_CASES = {
+    "l2-square": ({"kind": "square", "step": 0.1}, True),
+    "l2-disk": ({"kind": "disk"}, True),
+    "l2-cube": ({"kind": "cube", "step": 1 / 6}, False),
+    "l1-ball": ({"kind": "lp_ball", "p": 1.0, "eps": 0.3}, False),
+    "linf-ball": ({"kind": "lp_ball", "eps": 0.3}, False),
+    "l2xl2-product_demo": ({"kind": "product_demo"}, True),
+    "hyp_triangle": ({"kind": "hyp_triangle"}, False),
+    "star-tree_leaves": ({"kind": "tree_leaves"}, False),
+    "caterpillar": (None, False),
+}
+
+
+@pytest.mark.parametrize("case", list(SET_ORACLE_CASES))
+def test_extremal_set_matches_all_pairs_oracle(case):
+    """The set test's candidate step loses no crossing chord: on every
+    default-suite face, on the net's centre (a point that chords cross) and
+    on seeded random two-point sets (whose first crossing chord often passes
+    far from their first point), verdict and witness equal those of the
+    all-pairs scan."""
+    gen, tight = SET_ORACLE_CASES[case]
+    if gen is None:
+        space = make_metric_tree(MetricTreeSpec(CATERPILLAR_NODES, CATERPILLAR_EDGES))
+        leaves = [space.node_point(n) for n in ("a0", "b0", "a1", "a2", "b2", "a3")]
+        seed = PointNet.build(space, leaves, 0.06)
+        params = ExtremalParams(eps=0.06, delta=0.4, face_tol=0.015)
+    else:
+        inst = generate_instance(**gen)
+        space = inst.build_space()
+        seed, params = inst.seed_net(space), inst.params.extremal_params()
+    C = hull_closure(space, seed).net
+    D = space.dist_matrix(C.packed, C.packed)
+    centre = C.take(np.array([np.argmin(D.max(axis=1))]))
+    rng = np.random.default_rng(11)
+    pairs = [C.take(np.unique(rng.choice(len(C), 2, replace=False))) for _ in range(40)]
+    verdicts = []
+    for prm in [params] + ([replace(params, eps=0.4 * C.eps)] if tight else []):
+        faces = [argmax_face(space, C, phi, prm.face_tol) for phi in _default_suite(space, C)]
+        for face in faces + [centre] + (pairs if prm is params else []):
+            got = is_extremal_set(space, C, face, prm)
+            assert got == oracles.brute_extremal_set(space, C, face, prm), (len(face), got)
+            verdicts.append(got.extremal)
+    assert any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

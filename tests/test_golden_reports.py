@@ -17,7 +17,9 @@ formed every route term (they pin nearest queries on a tree whose points
 spread over many edges), and the ``hull`` and ``verify-km`` cases on the
 side-2 hyperbolic triangle at commit 2d6f3fe, while hyperbolic hull closure
 still queried every segment sample (they pin the hyperbolic cell cover far
-from the origin).  A refactor that keeps the lab's arithmetic keeps
+from the origin), and the failing ``paper-checks`` cases at commit cf146f7,
+while the set test still scanned every chord pair of the net (they pin the
+witness chords of failing faces; these reports exit 1).  A refactor that keeps the lab's arithmetic keeps
 every digest.  A change that moves a report must say which one and why, and
 record the new digest here.
 
@@ -76,6 +78,16 @@ GOLDEN = [
 ]
 
 
+#: reports that exit 1: paper-checks whose face checks fail, with the witness
+#: chords in their details
+FAILING_GOLDEN = [
+    ("paper-checks", ["square", "--step", "0.1"],
+     "dec0c4e55f31a73b955df569a11ec36c01c8155893ceec8bf542e89237121983"),
+    ("paper-checks", ["product_demo"],
+     "fdca21c7bf7a3f949ad95ca0b8628dd3bf107fa7a4c5aad6cd1f37dea746939c"),
+]
+
+
 def _case_id(command, gen_args):
     """command-kind, plus the exponent where --p is given and the side
     where --side is given."""
@@ -84,12 +96,13 @@ def _case_id(command, gen_args):
     return f"{command}-{gen_args[0]}{tag}"
 
 
-@pytest.mark.parametrize("command, gen_args, digest", GOLDEN,
-                         ids=[_case_id(c, g) for c, g, _ in GOLDEN])
-def test_report_digest(tmp_path, command, gen_args, digest):
+@pytest.mark.parametrize("command, gen_args, digest, code",
+                         [(*case, 0) for case in GOLDEN] + [(*case, 1) for case in FAILING_GOLDEN],
+                         ids=[_case_id(c, g) for c, g, _ in GOLDEN + FAILING_GOLDEN])
+def test_report_digest(tmp_path, command, gen_args, digest, code):
     inst, report = tmp_path / "instance.json", tmp_path / "report.json"
     assert main(["gen", *gen_args, "--out", str(inst)]) == 0
-    assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
+    assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == code
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 

@@ -209,7 +209,7 @@ def _set_param(name, value):
     return lambda obj: obj["params"].update({name: value})
 
 
-#: non-finite inputs: argv (the instance file, when there is one, is added
+#: non-finite inputs, and integers beyond the float range: argv (the instance file, when there is one, is added
 #: after the subcommand), the generator kind and edit of that file, and the
 #: field the diagnostic names
 _NON_FINITE_CASES = {
@@ -223,6 +223,17 @@ _NON_FINITE_CASES = {
                            "seed_points[1].coords"),
     "params-eps": (["hull"], "square", _set_param("eps", math.nan), "params.eps"),
     "params-delta": (["verify-km"], "square", _set_param("delta", math.inf), "params.delta"),
+    "euclidean-coords-huge-int": (["hull"], "square", _set_coords(0, [10**400, 0]),
+                                  "seed_points[0].coords"),
+    "params-huge-int": (["hull"], "square", _set_param("face_tol", 10**400), "params.face_tol"),
+    "tree-offset-huge-int": (["hull"], "tree_leaves",
+                             lambda obj: obj["seed_points"][0].update(offset=10**400),
+                             "seed_points[0].offset"),
+    "edge-length-huge-int": (["hull"], "tree_leaves",
+                             lambda obj: obj["space"]["edges"][0].__setitem__(2, 10**400),
+                             "space.edges[0]"),
+    "lp-exponent-huge-int": (["hull"], "square", lambda obj: obj["space"].update(p=10**400),
+                             "space.p"),
 }
 
 

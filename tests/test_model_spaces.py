@@ -56,6 +56,16 @@ def test_lp_rejects_non_norm_exponent():
         make_lp_space(NormedSpaceSpec(2, 0.5))
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_lp_rejects_non_finite_coordinates(p):
+    space = make_lp_space(NormedSpaceSpec(2, p))
+    for bad in (euclidean(math.nan, 0), euclidean(0, math.inf), euclidean(-math.inf, 1)):
+        with pytest.raises(InvalidInputError):
+            distance(space, bad, euclidean(0, 0))
+        with pytest.raises(InvalidInputError):
+            evaluate_bicombing(space, euclidean(0, 0), bad, 0.5)
+
+
 def test_lp_affine_segments_exactly_convex():
     rng = np.random.default_rng(1)
     for p in (1.0, 2.0, math.inf):
@@ -109,6 +119,11 @@ def test_hyperbolic_rejects_off_sheet_points(hplane):
         distance(hplane, hyperboloid(1.5, 0, 0), hyperboloid(1, 0, 0))
     with pytest.raises(InvalidInputError):
         distance(hplane, hyperboloid(-1, 0, 0), hyperboloid(1, 0, 0))
+    # NaN and infinite coordinates slip past the sheet test <x,x>_M = -1
+    for bad in (hyperboloid(1, math.nan, 0), hyperboloid(math.inf, math.inf, 0),
+                hyperboloid(math.nan, 0, 0)):
+        with pytest.raises(InvalidInputError):
+            distance(hplane, bad, hyperboloid(1, 0, 0))
 
 
 def test_hyperbolic_boost_invariance(hplane):
@@ -185,8 +200,9 @@ def test_tree_rejects_bad_specs():
     with pytest.raises(InvalidInputError):
         make_metric_tree(MetricTreeSpec(("a", "b", "c", "d"),
                                         (("a", "b", 1.0), ("c", "d", 1.0))))
-    with pytest.raises(InvalidInputError):
-        make_metric_tree(MetricTreeSpec(("a", "b"), (("a", "b", 0.0),)))
+    for w in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            make_metric_tree(MetricTreeSpec(("a", "b"), (("a", "b", w),)))
 
 
 def test_tree_axioms():
