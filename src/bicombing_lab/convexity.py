@@ -33,7 +33,7 @@ class PointNet:
     """
 
     space: BicombedSpace
-    packed: object
+    packed: np.ndarray
     eps: float
 
     @staticmethod
@@ -51,18 +51,18 @@ class PointNet:
         for p in pts:
             space.validate_point(p)
         packed = space.pack(pts)
-        if not all(np.isfinite(c).all() for c in space.sort_columns(packed)):
+        if not np.isfinite(packed).all():
             raise InvalidInputError("point coordinates must be finite")
-        rows = canonical_rows(space, packed)
-        rows = rows[_greedy_separate(space, space.packed_take(packed, rows), eps)]
-        return PointNet(space, space.packed_take(packed, rows), float(eps))
+        rows = canonical_rows(packed)
+        rows = rows[_greedy_separate(space, packed[rows], eps)]
+        return PointNet(space, packed[rows], float(eps))
 
     def __len__(self) -> int:
-        return self.space.packed_len(self.packed)
+        return len(self.packed)
 
     def take(self, rows) -> "PointNet":
         """The net of the given rows, which must be in increasing order."""
-        return PointNet(self.space, self.space.packed_take(self.packed, rows), self.eps)
+        return PointNet(self.space, self.packed[rows], self.eps)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -82,8 +82,7 @@ class PointNet:
         ``dist_matrix`` forms, one block at a time."""
         n = len(self)
         return max(
-            float(self.space.dist_matrix(
-                self.space.packed_take(self.packed, np.arange(n)[rows]), self.packed).max())
+            float(self.space.dist_matrix(self.packed[rows], self.packed).max())
             for rows in _row_blocks(n, n)
         )
 
@@ -157,12 +156,14 @@ class ConvexFunctional:
             to_set = target_space.min_dist if self.kind == "dist_to_net" else target_space.hull_dist
             return to_set(packed, self.target.packed)
         if self.kind == "linear":
-            arr = np.asarray(packed, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != len(self.coefficients):
+            if not space.coordinate_rows:
+                raise InvalidInputError(
+                    f"linear functionals need coordinate points, not points of {space.description}")
+            if packed.shape[1] != len(self.coefficients):
                 raise InvalidInputError("linear functionals require matching coordinate points")
-            return arr @ np.asarray(self.coefficients)
+            return packed @ np.asarray(self.coefficients)
         if self.kind == "constant":
-            return np.full(space.packed_len(packed), self.value)
+            return np.full(len(packed), self.value)
         raise InvalidInputError(f"unknown functional kind {self.kind!r}")
 
 
@@ -205,19 +206,18 @@ class HullResult:
     queried: int = field(default=0, compare=False)
 
 
-def canonical_rows(space: BicombedSpace, packed) -> np.ndarray:
+def canonical_rows(packed: np.ndarray) -> np.ndarray:
     """Rows of a packed set in canonical point order, one row per distinct point.
 
-    A stable lexsort on the space's sort columns orders rows as
-    ``sorted(..., key=canonical_key)`` orders points.  Of each run of equal
+    A stable lexsort on the columns, the first most significant, orders rows
+    as ``sorted(..., key=canonical_key)`` orders points.  Of each run of equal
     rows the first (earliest) one is kept, as ``set`` keeps the first of equal
     points; -0.0 and 0.0 compare equal in both.
     """
-    cols = space.sort_columns(packed)
-    order = np.lexsort(cols[::-1])
-    ranked = np.stack([c[order] for c in cols])
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     return order[first]
 
 
@@ -240,19 +240,18 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
     and kills its later partners.  A row already killed can neither be kept
     nor kill a later row, so it is left out.
     """
-    kept, n = [np.empty(0, dtype=np.int64)], space.packed_len(cands)
+    kept, n = [np.empty(0, dtype=np.int64)], len(cands)
     r = eps / 2
     for lo in range(0, n, 512):
         rows = np.arange(lo, min(lo + 512, n))
         if lo:
-            acc = space.packed_take(cands, np.concatenate(kept))
-            chunk = space.packed_take(cands, rows)
+            acc, chunk = cands[np.concatenate(kept)], cands[rows]
             d = space.make_index(acc).min_dist(chunk)
             tie = np.nonzero(np.abs(d - r) <= r * _TIE_BAND)[0]
             if len(tie):
-                d[tie] = space.min_dist(space.packed_take(chunk, tie), acc)
+                d[tie] = space.min_dist(chunk[tie], acc)
             rows = rows[d >= r]
-        I, J = space.close_pairs(space.packed_take(cands, rows), r)
+        I, J = space.close_pairs(cands[rows], r)
         ok = np.ones(len(rows), dtype=bool)
         heads, firsts = np.unique(I, return_index=True)
         for i, a, b in zip(heads.tolist(), firsts.tolist(), firsts[1:].tolist() + [len(I)]):
@@ -313,7 +312,7 @@ class _CellCover:
         ``np.nonzero(index.min_dist(S) >= r)[0]``.  A sample in a covered
         cell is answered without a query; every other one, a sample off the
         grid included, takes the index's query."""
-        n = self.space.packed_len(S)
+        n = len(S)
         self.samples += n
         if self.dist is None:
             self.queried += n
@@ -322,7 +321,7 @@ class _CellCover:
         rows = np.concatenate([a + self._open_rows(X[a : a + _COVER_SLICE], index)
                                for a in range(0, n, _COVER_SLICE)])
         self.queried += len(rows)
-        return rows[index.min_dist(self.space.packed_take(S, rows)) >= self.r]
+        return rows[index.min_dist(S[rows]) >= self.r]
 
     def _open_rows(self, X: np.ndarray, index) -> np.ndarray:
         """Rows of the coordinate rows X in no covered cell, once the cells
@@ -368,17 +367,16 @@ class _CellCover:
         return self.frame.point(self.lo + (k + 0.5) * self.h)
 
 
-def _pair_blocks(n_old: int, n_total: int, first_round: bool, block_pairs: int):
-    """Yield (I, J) index arrays covering the pairs a closure round must sample.
+def _pair_blocks(n_old: int, n_total: int, block_pairs: int):
+    """Yield (I, J) index arrays covering the pairs i < j with j >= n_old:
+    every pair when n_old is 0.
 
-    After the first round only pairs touching newly inserted points need
-    sampling: a sample rejected against an earlier, smaller net stays within
-    eps/2 of the grown net, so old-old pairs can never contribute again.
+    After the first round of a closure only pairs touching newly inserted
+    points need sampling: a sample rejected against an earlier, smaller net
+    stays within eps/2 of the grown net, so old-old pairs can never
+    contribute again.
     """
-    if first_round:
-        ranges = [(i, i + 1, n_total) for i in range(n_total)]
-    else:
-        ranges = [(i, max(i + 1, n_old), n_total) for i in range(n_total)]
+    ranges = [(i, max(i + 1, n_old), n_total) for i in range(n_total)]
     buf_i: list[np.ndarray] = []
     buf_j: list[np.ndarray] = []
     count = 0
@@ -410,7 +408,7 @@ def hull_closure(
     the net.  One cell cover (`_CellCover`), built from the seed, serves all
     rounds: it grids a box that is convex in the space and holds the seed,
     so it holds every sample in exact arithmetic.  The coordinates are the
-    points' own on lp and joined l2 x l2 nets, and (x1, x2) on the
+    packed rows on lp and l2 x l2 nets, and (x1, x2) on the
     hyperboloid, where d_H <= |delta(x1, x2)|_2.  A cell's centre is queried
     the first time a sample lands in it, and afterwards only against the
     rows inserted since; a sample in a cell certified within eps/2 of the
@@ -440,27 +438,27 @@ def hull_closure(
     cover = _CellCover(space, packed, eps / 2)
 
     def result(converged: bool, rounds: int) -> HullResult:
-        net = PointNet(space, space.packed_take(packed, canonical_rows(space, packed)), eps)
+        net = PointNet(space, packed[canonical_rows(packed)], eps)
         return HullResult(net=net, converged=converged, rounds=rounds,
                           samples=cover.samples, queried=cover.queried)
 
     for round_no in range(1, max_rounds + 1):
         index = space.make_index(packed)
-        n_total = space.packed_len(packed)
+        n_total = len(packed)
         survivors = []
-        for I, J in _pair_blocks(n_old, n_total, round_no == 1, block_pairs):
+        for I, J in _pair_blocks(n_old, n_total, block_pairs):
             S = space.segment_batch(packed, I, J, ts)
             keep = cover.far_rows(S, index)
             if len(keep):
-                survivors.append(space.packed_take(S, keep))
+                survivors.append(S[keep])
         if not survivors:
             return result(True, round_no)
-        cands = space.packed_concat(survivors)
-        cands = space.packed_take(cands, canonical_rows(space, cands))
-        accepted = space.packed_take(cands, _greedy_separate(space, cands, eps))
+        cands = np.concatenate(survivors)
+        cands = cands[canonical_rows(cands)]
+        accepted = cands[_greedy_separate(space, cands, eps)]
         # keep insertion order: indices >= n_old are exactly this round's points
         n_old = n_total
-        packed = space.packed_concat([packed, accepted])
+        packed = np.concatenate([packed, accepted])
         cover.insert(accepted)
 
     return result(False, max_rounds)
@@ -495,7 +493,7 @@ def is_convex_net(
     block_pairs = max(1, 400_000 // (segment_samples + 1))
     worst = None
     worst_dist = C.eps
-    for I, J in _pair_blocks(0, n, True, block_pairs):
+    for I, J in _pair_blocks(0, n, block_pairs):
         S = space.segment_batch(packed, I, J, ts)
         dmin = index.min_dist(S).reshape(len(I), len(ts))
         if dmin.max() > worst_dist:
@@ -545,7 +543,7 @@ def check_convex_functional(
     worst = -math.inf
     witness = None
     block_pairs = max(1, 200_000 // (grid + 1))
-    for I, J in _pair_blocks(0, n, True, block_pairs):
+    for I, J in _pair_blocks(0, n, block_pairs):
         S = space.segment_batch(packed, I, J, ts)
         vals = np.asarray(phi.evaluate_packed(space, S), dtype=float).reshape(len(I), grid + 1)
         defects = vals[:, 1:-1] - 0.5 * (vals[:, :-2] + vals[:, 2:])

@@ -206,7 +206,7 @@ def extremal_points(
         raise InvalidInputError("net belongs to a different space")
     rows = []
     for pi in range(len(C)):
-        target = space.packed_take(C.packed, np.array([pi]))
+        target = C.packed[pi : pi + 1]
         d_to_p = space.dist_matrix(C.packed, target)[:, 0]
         if _first_chord(space, C, target, d_to_p, params) is None:
             rows.append(pi)

@@ -329,14 +329,9 @@ def load_instance(path: str) -> InstanceFile:
 
 def _default_params(eps: float, seed_pts: list[Point], space: BicombedSpace,
                     rng_seed: int = 0) -> InstanceParams:
-    net = PointNet.build(space, seed_pts, eps)
-    diam = max(net.diameter, eps)
+    radii = ExtremalParams.defaults(PointNet.build(space, seed_pts, eps))
     return InstanceParams(
-        eps=eps,
-        hit_eps=eps,
-        delta=max(eps, math.sqrt(eps * diam)),
-        face_tol=eps / 4,
-        rng_seed=rng_seed,
+        eps=eps, hit_eps=eps, delta=radii.delta, face_tol=radii.face_tol, rng_seed=rng_seed
     )
 
 

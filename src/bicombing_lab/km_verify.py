@@ -226,8 +226,7 @@ def run_paper_checks(
     dK = ConvexFunctional.dist_to_net(K)
 
     pair_idx = rng.integers(0, m, size=(lipschitz_pairs, 2))
-    A = space.packed_take(C.packed, pair_idx[:, 0])
-    B = space.packed_take(C.packed, pair_idx[:, 1])
+    A, B = C.packed[pair_idx[:, 0]], C.packed[pair_idx[:, 1]]
     fa = dK.evaluate_packed(space, A)
     fb = dK.evaluate_packed(space, B)
     dab = space.paired_dist(A, B)

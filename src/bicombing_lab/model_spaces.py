@@ -181,11 +181,6 @@ def _polyhedral_hull_dist(
 # ---------------------------------------------------------------------------
 
 
-def _joined(packed) -> np.ndarray:
-    """Coordinate rows of an lp set, or joined rows of an l^2 x l^2 set."""
-    return np.hstack(packed) if isinstance(packed, tuple) else packed
-
-
 def _identity(X):
     return X
 
@@ -198,22 +193,17 @@ class _KDTreeIndex:
         self.p = p
 
     def min_dist(self, queries: np.ndarray) -> np.ndarray:
-        return self._nearest(np.atleast_2d(queries))
-
-    def _nearest(self, Q: np.ndarray) -> np.ndarray:
-        d, _ = self.tree.query(Q, k=1, p=self.p, workers=worker_count())
+        d, _ = self.tree.query(np.atleast_2d(queries), k=1, p=self.p, workers=worker_count())
         return np.atleast_1d(d)
 
 
 class _ProductJointIndex(_KDTreeIndex):
-    """KD index over joined l^2 x l^2 coordinates; queries arrive as (left,
-    right) packed pairs, or already joined."""
+    """KD index over l^2 x l^2 rows: the factor columns side by side are
+    Euclidean coordinates of the product."""
 
-    def __init__(self, packed_pair):
-        super().__init__(_joined(packed_pair), 2.0)
-
-    def min_dist(self, packed_pair) -> np.ndarray:
-        return self._nearest(np.atleast_2d(_joined(packed_pair)))
+    # its own class attribute, so that perfbench/spans.py times product
+    # queries apart from lp ones
+    min_dist = _KDTreeIndex.min_dist
 
 
 #: relative margin on KD-tree radii (the reflected ball radius, the close-pair
@@ -226,17 +216,17 @@ def _kd_close_pairs(space, packed, r: float, p: float):
     """``close_pairs`` of a coordinate space whose ``_dist_block`` entries
     equal its ``paired_dist``: pairs within r (1 + _BALL_MARGIN) by KD-tree
     distance in the p-norm, kept where the exact ``paired_dist`` is below r."""
-    pairs = cKDTree(_joined(packed)).query_pairs(r * (1.0 + _BALL_MARGIN), p=p,
-                                                 output_type="ndarray")
+    pairs = cKDTree(packed).query_pairs(r * (1.0 + _BALL_MARGIN), p=p, output_type="ndarray")
     I, J = pairs[np.lexsort(pairs.T[::-1])].T
-    close = space.paired_dist(space.packed_take(packed, J), space.packed_take(packed, I)) < r
+    close = space.paired_dist(packed[J], packed[I]) < r
     return I[close], J[close]
 
 
 class _ReflectedChords:
     """Candidate chords through a target set by reflected-endpoint ball
     queries, for a packed set whose segment map is linear in coordinates that
-    a p-norm measures (lp spaces; l^2 x l^2 products on joined coordinates).
+    a p-norm measures (lp spaces; l^2 x l^2 products, whose rows are such
+    coordinates).
 
     On a linear chord (1-t)x + ty - q = t(y - y*) with y* = (q - (1-t)x)/t,
     so its sample at t lies within eps of a target q exactly when y lies
@@ -248,7 +238,7 @@ class _ReflectedChords:
     """
 
     def __init__(self, packed, p: float):
-        self.coords, self.p = _joined(packed), p
+        self.coords, self.p = packed, p
 
     def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
                    eps: float, ts: np.ndarray):
@@ -258,13 +248,12 @@ class _ReflectedChords:
         the reflection needs only coordinates."""
         X = self.coords[elig]
         tree = cKDTree(X)  # one thread: a point's queries are a few hundred rows
-        Q = _joined(target)
-        blocks = _row_blocks(len(Q), len(X))
+        blocks = _row_blocks(len(target), len(X))
         balls = []
         for t in ts[ts >= 0.5]:
             r = eps / t * (1.0 + _BALL_MARGIN)
             for rows in blocks:
-                centres = ((Q[rows, None, :] - (1.0 - t) * X) / t).reshape(-1, X.shape[1])
+                centres = ((target[rows, None, :] - (1.0 - t) * X) / t).reshape(-1, X.shape[1])
                 d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
                 hit = np.nonzero(np.isfinite(d))[0]
                 xs = hit % len(X)
@@ -285,29 +274,7 @@ def _ordered_pairs(elig: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-class _CoordinateRows:
-    """Packing of coordinate points: one float row of `_width` entries each,
-    ordered canonically by their coordinate columns."""
-
-    _width: int
-
-    def pack(self, pts: Sequence[Point]) -> np.ndarray:
-        return np.array([p.coords for p in pts], dtype=np.float64).reshape(len(pts), self._width)
-
-    def packed_len(self, packed) -> int:
-        return packed.shape[0]
-
-    def packed_take(self, packed, rows):
-        return packed[np.atleast_1d(rows)]
-
-    def packed_concat(self, parts):
-        return np.concatenate(parts)
-
-    def sort_columns(self, packed) -> list[np.ndarray]:
-        return list(packed.T)
-
-
-class LpSpace(_CoordinateRows, BicombedSpace):
+class LpSpace(BicombedSpace):
     """R^n with the l^p norm and the straight-line segment map.
 
     For p != 2 these are not convex metric spaces in the comparison-triangle
@@ -315,9 +282,11 @@ class LpSpace(_CoordinateRows, BicombedSpace):
     axiom, which is exactly why the segment-map framework is broader.
     """
 
+    coordinate_rows = True
+
     def __init__(self, spec: NormedSpaceSpec):
         self.spec = spec
-        self.n = self._width = spec.dimension
+        self.n = self.width = spec.dimension
         self.p = spec.exponent
         pname = "inf" if math.isinf(self.p) else f"{self.p:g}"
         self.description = f"l{pname}(R^{self.n})"
@@ -338,8 +307,11 @@ class LpSpace(_CoordinateRows, BicombedSpace):
             return np.abs(diff).sum(axis=-1)
         return (np.abs(diff) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
-    def points_from_packed(self, packed) -> list[Point]:
-        return [EuclideanPoint(tuple(row)) for row in packed.tolist()]
+    def _row(self, p: EuclideanPoint):
+        return p.coords
+
+    def _point(self, row: list) -> EuclideanPoint:
+        return EuclideanPoint(tuple(row))
 
     def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self._norms(A[:, None, :] - B[None, :, :])
@@ -413,7 +385,7 @@ def _on_sheet(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.sqrt(1.0 + (X * X).sum(axis=1)), X])
 
 
-class HyperbolicPlane(_CoordinateRows, BicombedSpace):
+class HyperbolicPlane(BicombedSpace):
     """Hyperbolic plane realized on the unit hyperboloid in Minkowski 3-space.
 
     Distances use the chord form d = 2*asinh(|x - y|_M / 2), which agrees with
@@ -424,7 +396,8 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
 
     base_tol = 1e-7
     description = "hyperbolic plane (hyperboloid model)"
-    _width = 3
+    width = 3
+    coordinate_rows = True
 
     _INVARIANT_TOL = 1e-9
 
@@ -442,14 +415,20 @@ class HyperbolicPlane(_CoordinateRows, BicombedSpace):
                 f"point off the unit hyperboloid: <x,x>_M = {q!r} (|<x,x>_M + 1| > 1e-9)"
             )
 
-    def points_from_packed(self, packed) -> list[Point]:
-        return [HyperboloidPoint(tuple(row)) for row in packed.tolist()]
+    def _row(self, p: HyperboloidPoint):
+        return p.coords
+
+    def _point(self, row: list) -> HyperboloidPoint:
+        return HyperboloidPoint(tuple(row))
 
     def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # Gram form of the Minkowski chord: <a-b, a-b>_M = -2 - 2<a,b>_M for
         # points on the sheet.  The matrix product runs through BLAS; entries
         # with heavy cancellation (nearby points) are recomputed from
-        # coordinate differences, which is exact at small separations.
+        # coordinate differences, which is exact at small separations.  A
+        # product hands in column slices: BLAS rounding may depend on the
+        # memory layout, so the product runs on contiguous rows
+        A = np.ascontiguousarray(A)
         q = -2.0 - 2.0 * (A @ (B * _MINK_SIGNS).T)
         small = q < 1e-4
         if small.any():
@@ -625,6 +604,8 @@ class TreeSpace(BicombedSpace):
     holding target points, not one per target point.
     """
 
+    width = 2
+
     def __init__(self, spec: MetricTreeSpec):
         nodes = list(spec.nodes)
         edges = [(str(u), str(v), float(w)) for u, v, w in spec.edges]
@@ -744,37 +725,18 @@ class TreeSpace(BicombedSpace):
 
     # -- packed points, metric and segment map ---------------------------------
 
-    def _pack_arrays(self, edge: np.ndarray, off: np.ndarray) -> dict:
-        return {
-            "edge": edge,
-            "off": off,
-            "tail": self._tail[edge],
-            "head": self._head[edge],
-            "to_tail": off,
-            "to_head": self._len[edge] - off,
-        }
+    def _row(self, p: TreePoint):
+        return p.edge, p.offset
 
-    def pack(self, pts: Sequence[Point]) -> dict:
-        return self._pack_arrays(
-            np.array([p.edge for p in pts], dtype=np.int64),
-            np.array([p.offset for p in pts], dtype=np.float64),
-        )
+    def _point(self, row: list) -> TreePoint:
+        return TreePoint(int(row[0]), row[1])
 
-    def packed_len(self, packed) -> int:
-        return len(packed["edge"])
-
-    def packed_take(self, packed, rows):
-        rows = np.atleast_1d(rows)
-        return {k: v[rows] for k, v in packed.items()}
-
-    def packed_concat(self, parts):
-        return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-
-    def sort_columns(self, packed) -> list[np.ndarray]:
-        return [packed["edge"], packed["off"]]
-
-    def points_from_packed(self, packed) -> list[Point]:
-        return [TreePoint(e, o) for e, o in zip(packed["edge"].tolist(), packed["off"].tolist())]
+    def _ends(self, P: np.ndarray) -> dict:
+        """What the kernels read of packed rows: the edge as integers, the
+        offset, the edge's end nodes and the legs to them."""
+        edge, off = P[:, 0].astype(np.int64), P[:, 1]
+        return {"edge": edge, "off": off, "tail": self._tail[edge], "head": self._head[edge],
+                "to_tail": off, "to_head": self._len[edge] - off}
 
     def _canonical(self, edge: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`point_on_edge` over arrays: the first offset outside [0, length]
@@ -794,9 +756,10 @@ class TreeSpace(BicombedSpace):
             off[at] = np.where(self._tail[edge[at]] == node, 0.0, self._len[edge[at]])
         return edge, off
 
-    def _dist_block(self, A: dict, B: dict) -> np.ndarray:
+    def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The `_ROUTE_ENDS` terms with node distances read from the
         flattened table; entries on one edge are |offset difference|."""
+        A, B = self._ends(A), self._ends(B)
         table, n = self._dist.ravel(), len(self._dist)
         d = None
         for a, u, v, b in _ROUTE_ENDS:
@@ -827,6 +790,7 @@ class TreeSpace(BicombedSpace):
         just at or below and just above its own on its edge, found by one
         search of B sorted by (edge, offset).
         """
+        A, B = self._ends(A), self._ends(B)
         ends = np.concatenate([B["tail"], B["head"]])
         order = np.argsort(ends, kind="stable")
         ends = ends[order]
@@ -868,8 +832,9 @@ class TreeSpace(BicombedSpace):
         each subtracting its edge lengths in path order.  Samples of x == y
         stay x."""
         ts = np.asarray(ts, dtype=np.float64)
-        X = self.packed_take(packed, np.repeat(np.asarray(I, dtype=np.int64), len(ts)))
-        Y = self.packed_take(packed, np.repeat(np.asarray(J, dtype=np.int64), len(ts)))
+        PX = packed[np.repeat(np.asarray(I, dtype=np.int64), len(ts))]
+        PY = packed[np.repeat(np.asarray(J, dtype=np.int64), len(ts))]
+        X, Y = self._ends(PX), self._ends(PY)
         t = np.tile(ts, len(I))
         edge, off = X["edge"].copy(), X["off"].copy()  # x == y keeps x as it is
         moving = np.nonzero((X["edge"] != Y["edge"]) | (X["off"] != Y["off"]))[0]
@@ -878,7 +843,7 @@ class TreeSpace(BicombedSpace):
                             0.0, self._len[X["edge"][same]])
 
         far = moving[X["edge"][moving] != Y["edge"][moving]]
-        x, y = self.packed_take(X, far), self.packed_take(Y, far)
+        x, y = self._ends(PX[far]), self._ends(PY[far])
         routes = self._routes(x, y)
         k = routes.argmin(axis=0)
         s = t[far] * routes[k, np.arange(len(far))]
@@ -919,14 +884,13 @@ class TreeSpace(BicombedSpace):
             )
 
         edge[moving], off[moving] = self._canonical(edge[moving], off[moving])
-        return self._pack_arrays(edge, off)
+        return np.column_stack([edge, off])
 
     def chord_dists(self, packed, I, J, ts, targets):
         """Tree chords answer from distances alone: along the x->y geodesic the
         distance to p is |s - s*| + d*, with s* and d* given by the Gromov
         products of the endpoint distances."""
-        sub = self.packed_take(packed, np.asarray(I, dtype=np.int64))
-        subj = self.packed_take(packed, np.asarray(J, dtype=np.int64))
+        sub, subj = packed[I], packed[J]
         D_IT = self.dist_matrix(sub, targets)
         D_JT = self.dist_matrix(subj, targets)
         L = self.paired_dist(sub, subj)
@@ -942,6 +906,7 @@ class TreeSpace(BicombedSpace):
         return np.stack([A[a] + D[A[u], B[v]] + B[b] for a, u, v, b in _ROUTE_ENDS])
 
     def paired_dist(self, A, B) -> np.ndarray:
+        A, B = self._ends(A), self._ends(B)
         d = self._routes(A, B).min(axis=0)
         same = A["edge"] == B["edge"]
         if same.any():
@@ -957,9 +922,9 @@ class TreeSpace(BicombedSpace):
         (a = b gives d(x, a)).
         """
         DK = self.dist_matrix(K, K)
-        best = np.full(self.packed_len(A), np.inf)
+        best = np.full(len(A), np.inf)
         for rows in _row_blocks(len(best), len(DK)):
-            DA = self.dist_matrix(self.packed_take(A, np.arange(len(best))[rows]), K)
+            DA = self.dist_matrix(A[rows], K)
             for a in range(len(DK)):
                 gromov = 0.5 * (DA[:, a : a + 1] + DA[:, a:] - DK[a, a:])
                 best[rows] = np.minimum(best[rows], gromov.min(axis=1))
@@ -1004,8 +969,10 @@ class ProductSpace(BicombedSpace):
         self.left = spec.left
         self.right = spec.right
         self.spec = spec
+        self.width = self.left.width + self.right.width
         self.base_tol = max(self.left.base_tol, self.right.base_tol)
         self.description = f"({self.left.description}) x ({self.right.description})"
+        # the rows of an l^2 x l^2 product are Euclidean coordinates of it
         self._joint_lp2 = (
             isinstance(self.left, LpSpace)
             and isinstance(self.right, LpSpace)
@@ -1019,47 +986,30 @@ class ProductSpace(BicombedSpace):
         self.left.validate_point(p.left)
         self.right.validate_point(p.right)
 
-    # batch hooks: a packed product set is the pair of packed factor sets
+    def _row(self, p: ProductPoint):
+        return (*self.left._row(p.left), *self.right._row(p.right))
 
-    def pack(self, pts: Sequence[Point]):
-        return (
-            self.left.pack([p.left for p in pts]),
-            self.right.pack([p.right for p in pts]),
-        )
+    def _point(self, row: list) -> ProductPoint:
+        a = self.left.width
+        return ProductPoint(self.left._point(row[:a]), self.right._point(row[a:]))
 
-    def packed_len(self, packed) -> int:
-        return self.left.packed_len(packed[0])
-
-    def packed_take(self, packed, rows):
-        return (self.left.packed_take(packed[0], rows), self.right.packed_take(packed[1], rows))
-
-    def packed_concat(self, parts):
-        return (self.left.packed_concat([part[0] for part in parts]),
-                self.right.packed_concat([part[1] for part in parts]))
-
-    def sort_columns(self, packed) -> list[np.ndarray]:
-        return self.left.sort_columns(packed[0]) + self.right.sort_columns(packed[1])
-
-    def points_from_packed(self, packed) -> list[Point]:
-        ls = self.left.points_from_packed(packed[0])
-        rs = self.right.points_from_packed(packed[1])
-        return [ProductPoint(l, r) for l, r in zip(ls, rs)]
+    def _split(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The left and right factor columns of packed rows (views)."""
+        a = self.left.width
+        return P[:, :a], P[:, a:]
 
     def _dist_block(self, A, B) -> np.ndarray:
-        dl = self.left._dist_block(A[0], B[0])
-        dr = self.right._dist_block(A[1], B[1])
-        return np.hypot(dl, dr)
+        (Al, Ar), (Bl, Br) = self._split(A), self._split(B)
+        return np.hypot(self.left._dist_block(Al, Bl), self.right._dist_block(Ar, Br))
 
     def make_index(self, packed):
         if self._joint_lp2:
-            return _ProductJointIndex(packed)
+            return _ProductJointIndex(packed, 2.0)
         return super().make_index(packed)
 
     def cover_frame(self, packed):
         if self._joint_lp2:
-            X, a = _joined(packed), self.left.n
-            return CoverFrame(_joined, lambda Y: (Y[:, :a], Y[:, a:]),
-                              X.min(axis=0), X.max(axis=0), 2.0)
+            return CoverFrame(_identity, _identity, packed.min(axis=0), packed.max(axis=0), 2.0)
         return super().cover_frame(packed)
 
     def make_chord_finder(self, packed):
@@ -1073,21 +1023,19 @@ class ProductSpace(BicombedSpace):
         return super().close_pairs(packed, r)
 
     def segment_batch(self, packed, I, J, ts):
-        return (
-            self.left.segment_batch(packed[0], I, J, ts),
-            self.right.segment_batch(packed[1], I, J, ts),
-        )
+        L, R = self._split(packed)
+        return np.hstack([self.left.segment_batch(L, I, J, ts),
+                          self.right.segment_batch(R, I, J, ts)])
 
     def paired_dist(self, A, B) -> np.ndarray:
-        return np.hypot(
-            self.left.paired_dist(A[0], B[0]), self.right.paired_dist(A[1], B[1])
-        )
+        (Al, Ar), (Bl, Br) = self._split(A), self._split(B)
+        return np.hypot(self.left.paired_dist(Al, Bl), self.right.paired_dist(Ar, Br))
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Exact distance to conv(K) for l^2 x l^2 products (one Euclidean space
-        on the joined coordinates) and for star tree x line."""
+        on the rows) and for star tree x line."""
         if self._joint_lp2:
-            return _euclidean_hull_dist(np.hstack(A), np.hstack(K))
+            return _euclidean_hull_dist(A, K)
         centre = self.left.star_centre() if isinstance(self.left, TreeSpace) else None
         if centre is None or not (isinstance(self.right, LpSpace) and self.right.n == 1):
             return super().hull_dist(A, K)
@@ -1107,7 +1055,8 @@ class ProductSpace(BicombedSpace):
         page's hull at the planar distance of its mirror image (-r, s).
         """
         def book_coords(P):
-            return P[0]["edge"], self.left.dist_matrix(P[0], centre)[:, 0], P[1][:, 0]
+            tree_rows, line = self._split(P)
+            return tree_rows[:, 0], self.left.dist_matrix(tree_rows, centre)[:, 0], line[:, 0]
 
         page_K, r_K, s_K = book_coords(K)
         page_A, r_A, s_A = book_coords(A)

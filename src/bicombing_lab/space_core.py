@@ -183,15 +183,22 @@ class BicombedSpace:
     """A metric space with a distinguished segment map.
 
     Each space writes its geometry once, as batch kernels over its packed
-    (array) form of a point set, plus a scalar ``validate_point`` for input.
-    Every space implements these packed hooks:
+    form of a point set, plus a scalar ``validate_point`` for input.  A
+    packed set is a C-contiguous 2-D float64 array with one row per point
+    and ``width`` columns:
 
-    - ``pack(points)`` and ``points_from_packed(packed)``: to and from the
-      packed form; ``packed_len``, ``packed_take(packed, rows)`` and
-      ``packed_concat(parts)`` size, select and join packed sets;
-    - ``sort_columns(packed)``: columns, most significant first, whose
-      lexicographic row order is the canonical point order; rows are equal
-      exactly when points are;
+    - lp: the coordinates;
+    - hyperboloid: (x0, x1, x2);
+    - tree: (edge, offset), the edge an integral value;
+    - product: the left factor's columns, then the right factor's.
+
+    Rows select, join and sort as plain arrays (``P[rows]``,
+    ``np.concatenate``, a lexsort of ``P.T``): the lexicographic row order
+    is the canonical point order, and rows are equal exactly when points
+    are.  Every space implements these packed hooks:
+
+    - ``_row(p)`` and ``_point(row)``: one point to and from its row, which
+      ``pack(points)`` and ``points_from_packed(packed)`` apply to a set;
     - ``_dist_block(A, B)``: the dense distance matrix of two packed sets;
     - ``paired_dist(A, B)``: rowwise distances of equal-length packed sets;
     - ``segment_batch(packed, I, J, ts)``: packed samples [I[k], J[k]](t)
@@ -209,13 +216,28 @@ class BicombedSpace:
     #: rounding-tolerance class: 1e-9 for exact-arithmetic spaces, 1e-7 where
     #: transcendental functions accumulate error (hyperbolic and its products)
     base_tol: float = 1e-9
+    #: columns of a packed row
+    width: int
+    #: whether a packed row is the point's coordinate vector, which linear
+    #: functionals read (lp and the hyperboloid)
+    coordinate_rows: bool = False
 
     def validate_point(self, p: Point) -> None:
         raise NotImplementedError
 
+    def pack(self, pts: Sequence[Point]) -> np.ndarray:
+        return np.array([self._row(p) for p in pts], dtype=np.float64).reshape(len(pts), self.width)
+
+    def points_from_packed(self, packed) -> list[Point]:
+        return [self._point(row) for row in packed.tolist()]
+
+    def packed_len(self, packed) -> int:
+        # kept for perfbench/spans.py, which counts kernel work with it
+        return len(packed)
+
     def dist_matrix(self, A, B) -> np.ndarray:
         """Pairwise distance matrix between two packed sets, built in row blocks."""
-        na, nb = self.packed_len(A), self.packed_len(B)
+        na, nb = len(A), len(B)
         if na == 0 or nb == 0:
             return np.zeros((na, nb))
         blocks = _row_blocks(na, nb)
@@ -223,15 +245,14 @@ class BicombedSpace:
             return self._dist_block(A, B)
         out = np.empty((na, nb))
         for rows in blocks:
-            out[rows] = self._dist_block(self.packed_take(A, np.arange(na)[rows]), B)
+            out[rows] = self._dist_block(A[rows], B)
         return out
 
     def min_dist(self, A, B) -> np.ndarray:
         """Per-row minimum distance from packed set A into packed set B."""
-        na, nb = self.packed_len(A), self.packed_len(B)
-        out = np.empty(na)
-        for rows in _row_blocks(na, nb):
-            out[rows] = self._dist_block(self.packed_take(A, np.arange(na)[rows]), B).min(axis=1)
+        out = np.empty(len(A))
+        for rows in _row_blocks(len(A), len(B)):
+            out[rows] = self._dist_block(A[rows], B).min(axis=1)
         return out
 
     def close_pairs(self, packed, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +292,7 @@ class BicombedSpace:
         """Distances from segment samples to target points: shape (len(I), len(ts), nT)."""
         S = self.segment_batch(packed, I, J, ts)
         M = self.dist_matrix(S, targets)
-        return M.reshape(len(I), len(ts), self.packed_len(targets))
+        return M.reshape(len(I), len(ts), len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +397,20 @@ def check_axioms(
     n = grid + 1
     ts = np.arange(n) / grid
     P = space.pack([p for quad in pairs for p in quad])
-    rows = np.arange(space.packed_len(P))
+    rows = np.arange(len(P))
     # segments [x, y] of every quadruple, then every [x', y']
     I = np.concatenate([rows[0::4], rows[2::4]])
     J = np.concatenate([rows[1::4], rows[3::4]])
     S = space.segment_batch(P, I, J, ts)
     half = len(pairs) * n
-    seg1 = space.packed_take(S, np.arange(half))
-    seg2 = space.packed_take(S, np.arange(half, 2 * half))
-    f = space.paired_dist(seg1, seg2).reshape(len(pairs), n)
+    f = space.paired_dist(S[:half], S[half:]).reshape(len(pairs), n)
     starts = np.arange(len(I)) * n  # the t = 0 sample of every segment
     max_endpoint = max(
-        space.paired_dist(space.packed_take(S, starts), space.packed_take(P, I)).max(),
-        space.paired_dist(space.packed_take(S, starts + grid), space.packed_take(P, J)).max(),
+        space.paired_dist(S[starts], P[I]).max(),
+        space.paired_dist(S[starts + grid], P[J]).max(),
     )
     idem = space.segment_batch(P, rows, rows, ts)
-    max_idem = space.paired_dist(idem, space.packed_take(P, np.repeat(rows, n))).max()
+    max_idem = space.paired_dist(idem, P[np.repeat(rows, n)]).max()
     max_sym = space.paired_dist(S, space.segment_batch(P, J, I, 1.0 - ts)).max()
 
     defects = f[:, 1:-1] - 0.5 * (f[:, :-2] + f[:, 2:])

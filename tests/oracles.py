@@ -422,7 +422,7 @@ def greedy_separation(space, points, eps: float) -> list:
     kept: list[int] = []
     for i in range(len(points)):
         if kept:
-            D = space.dist_matrix(space.packed_take(P, [i]), space.packed_take(P, kept))
+            D = space.dist_matrix(P[[i]], P[kept])
             if D.min() < eps / 2:
                 continue
         kept.append(i)
@@ -445,20 +445,19 @@ def brute_hull_closure(space, seed: PointNet, segment_samples: int = 8,
     ts = np.arange(1, segment_samples) / segment_samples
     n_old = 0
     for round_no in range(max_rounds):
-        n = space.packed_len(packed)
+        n = len(packed)
         I, J = np.triu_indices(n, 1)
         if round_no:
             I, J = I[J >= n_old], J[J >= n_old]
         far = []
         for lo in range(0, len(I), 20_000):
             S = space.segment_batch(packed, I[lo : lo + 20_000], J[lo : lo + 20_000], ts)
-            far.append(space.packed_take(S, np.nonzero(space.min_dist(S, packed) >= eps / 2)[0]))
-        cands = space.packed_concat(far)
-        if not space.packed_len(cands):
+            far.append(S[space.min_dist(S, packed) >= eps / 2])
+        cands = np.concatenate(far)
+        if not len(cands):
             break
-        cands = space.packed_take(cands, canonical_rows(space, cands))
+        cands = cands[canonical_rows(cands)]
         n_old = n
-        packed = space.packed_concat(
-            [packed, space.packed_take(cands, _greedy_separate(space, cands, eps))])
+        packed = np.concatenate([packed, cands[_greedy_separate(space, cands, eps)]])
     pts = space.points_from_packed(packed)
-    return [pts[i] for i in canonical_rows(space, packed)]
+    return [pts[i] for i in canonical_rows(packed)]

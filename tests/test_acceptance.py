@@ -174,8 +174,7 @@ def test_criterion_2a_distance_lipschitz(capsys, dist_set_cases):
         P = space.pack(pts)
         vals = phi.evaluate_packed(space, P)
         half = len(pts) // 2
-        A = space.packed_take(P, np.arange(half))
-        B = space.packed_take(P, np.arange(half, 2 * half))
+        A, B = P[:half], P[half : 2 * half]
         d = space.paired_dist(A, B)
         defect = float((np.abs(vals[:half] - vals[half : 2 * half]) - d).max())
         worst = max(worst, defect)

@@ -187,11 +187,7 @@ def test_hull_closure_matches_brute_oracle(case):
 
 
 def _packed_bytes(packed) -> list:
-    """Dtype, shape and bytes of every array of a packed set, in order."""
-    if isinstance(packed, tuple):
-        return [b for part in packed for b in _packed_bytes(part)]
-    if isinstance(packed, dict):
-        return [(k, b) for k, v in packed.items() for b in _packed_bytes(v)]
+    """Dtype, shape and bytes of a packed set."""
     return [(packed.dtype.str, packed.shape, packed.tobytes())]
 
 
@@ -207,8 +203,7 @@ def test_nets_own_their_packed_rows(kind):
     assert _packed_bytes(PointNet.build(space, net.points, eps).packed) == _packed_bytes(net.packed)
     scan = extremal_points(space, net, inst.params.extremal_params())
     assert not scan.is_empty
-    assert _packed_bytes(scan.net().packed) == _packed_bytes(
-        space.packed_take(net.packed, scan.rows))
+    assert _packed_bytes(scan.net().packed) == _packed_bytes(net.packed[scan.rows])
     assert scan.points == tuple(net.points[i] for i in scan.rows)
 
 
@@ -290,6 +285,41 @@ def test_dist_to_net_functional_lipschitz_and_convexity(plane):
     domain = PointNet.build(plane, [euclidean(*rng.uniform(-1, 2, 2)) for _ in range(25)], 0.1)
     res = check_convex_functional(plane, phi, domain, 16, tol=2 * K.eps + 1e-9)
     assert res.ok, res.max_defect
+
+
+def test_linear_functional_reads_coordinate_rows(plane, hplane):
+    # lp rows are coordinates and hyperboloid rows are (x0, x1, x2)
+    assert ConvexFunctional.linear([2.0, -1.0]).evaluate(plane, euclidean(0.5, 3.0)) == -2.0
+    q = hyperbolic_point_at(0.7, 1.1)
+    got = ConvexFunctional.linear([1.0, 2.0, 3.0]).evaluate(hplane, q)
+    assert got == pytest.approx(q.coords[0] + 2.0 * q.coords[1] + 3.0 * q.coords[2], rel=1e-15)
+    vals = ConvexFunctional.linear([0.0, 1.0]).evaluate_packed(
+        plane, plane.pack([euclidean(1, 2), euclidean(3, 4)]))
+    assert vals.tolist() == [2.0, 4.0]
+    with pytest.raises(InvalidInputError, match="matching coordinate points"):
+        ConvexFunctional.linear([1.0]).evaluate(plane, euclidean(0.0, 0.0))
+
+
+def _line_x_lp(dim):
+    return make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(1, 2.0)),
+                                         make_lp_space(NormedSpaceSpec(dim, 2.0))))
+
+
+@pytest.mark.parametrize("case", ["tree", "line_x_plane", "line_x_line"])
+def test_linear_functional_rejects_non_coordinate_rows(case, star3):
+    # tree rows are (edge, offset) and product rows hold factor points: no
+    # linear functional reads them, even with as many coefficients as columns
+    if case == "tree":
+        space, p = star3, star3.point_on_edge(1, 0.5)
+    else:
+        dim = 2 if case == "line_x_plane" else 1
+        space = _line_x_lp(dim)
+        p = ProductPoint(euclidean(0.5), euclidean(*[0.25] * dim))
+    phi = ConvexFunctional.linear([1.0] * space.width)
+    with pytest.raises(InvalidInputError, match="linear functionals need coordinate points"):
+        phi.evaluate(space, p)
+    with pytest.raises(InvalidInputError, match="linear functionals need coordinate points"):
+        phi.evaluate_packed(space, space.pack([p, p]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +554,7 @@ def test_canonical_rows_match_sorted_set(space_name, request):
         for p in pts:
             space.validate_point(p)
         packed = space.pack(pts)
-        got = space.points_from_packed(space.packed_take(packed, canonical_rows(space, packed)))
+        got = space.points_from_packed(packed[canonical_rows(packed)])
         # repr tells -0.0 from 0.0, so the kept representative is checked too
         assert [repr(p) for p in got] == [repr(p) for p in oracles.canonical_dedup(pts)]
 
@@ -532,7 +562,7 @@ def test_canonical_rows_match_sorted_set(space_name, request):
 def test_canonical_rows_keep_first_signed_zero(plane):
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         pts = [euclidean(1, 1)] + [euclidean(first, 1), euclidean(second, 1)] * 20
-        got = plane.points_from_packed(plane.pack(pts)[canonical_rows(plane, plane.pack(pts))])
+        got = plane.points_from_packed(plane.pack(pts)[canonical_rows(plane.pack(pts))])
         assert [math.copysign(1.0, p.coords[0]) for p in got] == [math.copysign(1.0, first), 1.0]
 
 
@@ -600,7 +630,7 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
     exact = space.min_dist
 
     def counted(A, B):
-        band_rows.append(space.packed_len(A))
+        band_rows.append(len(A))
         return exact(A, B)
 
     monkeypatch.setattr(space, "min_dist", counted)
@@ -622,7 +652,7 @@ def test_close_pairs_match_dense_matrix(name):
     P = space.pack(pts)
     D = space.dist_matrix(P, P)
     I, J = np.triu_indices(len(pts), k=1)
-    exact = space.paired_dist(space.packed_take(P, J), space.packed_take(P, I))
+    exact = space.paired_dist(P[J], P[I])
     assert exact.tobytes() == D[J, I].tobytes()
     for r in (1 / 16, 0.05, 0.0):
         got = space.close_pairs(P, r)
@@ -764,16 +794,15 @@ def _hyp_cover_queries(P, r, rng):
 
 
 def _cover_space(kind, n):
-    """The space of a far_rows case, and the map from its net rows to packed
-    points: the l2 x l2 product splits the coordinates."""
+    """The space of a far_rows case, whose packed rows are the net's rows: the
+    l2 x l2 product splits the coordinates between its factors."""
     if kind == "hyp":
-        return make_hyperbolic_plane(), lambda X: X
+        return make_hyperbolic_plane()
     if kind == "l2xl2":
         a = n // 2
-        space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(a, 2.0)),
-                                              make_lp_space(NormedSpaceSpec(n - a, 2.0))))
-        return space, lambda X: (X[:, :a].copy(), X[:, a:].copy())
-    return make_lp_space(NormedSpaceSpec(n, kind)), lambda X: X
+        return make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(a, 2.0)),
+                                             make_lp_space(NormedSpaceSpec(n - a, 2.0))))
+    return make_lp_space(NormedSpaceSpec(n, kind))
 
 
 _FAR_ROWS_CASES = [(kind, case) for case in ("random", "raster", "collinear", "line", "r8")
@@ -797,9 +826,9 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
         rng = np.random.default_rng(seed)
         P, r = _cover_net(case, rng)
         Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
-        space, as_packed = _cover_space(kind, P.shape[1])
-        index = space.make_index(as_packed(P))
-        want = np.nonzero(index.min_dist(as_packed(Q)) >= r)[0]
+        space = _cover_space(kind, P.shape[1])
+        index = space.make_index(P)
+        want = np.nonzero(index.min_dist(Q) >= r)[0]
         assert 0 < len(want) < len(Q)
         queried = []
         nearest = index.min_dist
@@ -810,7 +839,7 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
             return out
 
         monkeypatch.setattr(index, "min_dist", counted)
-        got = _CellCover(space, as_packed(P), r).far_rows(as_packed(Q), index)
+        got = _CellCover(space, P, r).far_rows(Q, index)
         assert got.dtype.kind == "i"
         np.testing.assert_array_equal(got, want)
         if case == "r8":
@@ -829,18 +858,18 @@ def test_cover_persists_across_inserts(kind):
     rng = np.random.default_rng(52)
     P, r = _cover_net("triangle" if kind == "hyp" else "random", rng)
     Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
-    space, as_packed = _cover_space(kind, P.shape[1])
+    space = _cover_space(kind, P.shape[1])
     batches = np.array_split(P[rng.permutation(len(P))], 3)
-    cover = _CellCover(space, as_packed(batches[0]), r)
+    cover = _CellCover(space, batches[0], r)
     certified = []
     for k in range(3):
         if k:
             before = int((cover.dist < cover.limit).sum())
-            cover.insert(as_packed(batches[k]))
+            cover.insert(batches[k])
             certified.append(int((cover.dist < cover.limit).sum()) - before)
-        index = space.make_index(as_packed(np.vstack(batches[: k + 1])))
-        want = np.nonzero(index.min_dist(as_packed(Q)) >= r)[0]
-        np.testing.assert_array_equal(cover.far_rows(as_packed(Q), index), want)
+        index = space.make_index(np.vstack(batches[: k + 1]))
+        want = np.nonzero(index.min_dist(Q) >= r)[0]
+        np.testing.assert_array_equal(cover.far_rows(Q, index), want)
     assert min(certified) > 0
 
 

@@ -214,8 +214,7 @@ def test_extremal_points_match_integer_oracle(linear_space, shape, h, delta, t_g
     params = ExtremalParams(eps=h[0] / h[1], delta=delta[0] / delta[1], t_grid=t_grid,
                             face_tol=0.025)
     got = set(extremal_points(space, C, params).points)
-    coords = np.hstack(C.packed) if isinstance(C.packed, tuple) else C.packed
-    idx = oracles.int_grid_extremal(np.rint(coords * 10).astype(int), 10, *h, *delta,
+    idx = oracles.int_grid_extremal(np.rint(C.packed * 10).astype(int), 10, *h, *delta,
                                     params.t_grid, p=p)
     assert got == {C.points[i] for i in idx}
     assert 0 < len(got) < len(C)

@@ -19,7 +19,10 @@ side-2 hyperbolic triangle at commit 2d6f3fe, while hyperbolic hull closure
 still queried every segment sample (they pin the hyperbolic cell cover far
 from the origin), and the failing ``paper-checks`` cases at commit cf146f7,
 while the set test still scanned every chord pair of the net (they pin the
-witness chords of failing faces; these reports exit 1).  A refactor that keeps the lab's arithmetic keeps
+witness chords of failing faces; these reports exit 1), and the star tree x
+line cases at commit f91d81e, while product sets were packed as pairs of
+factor sets and tree sets as dicts of columns (they pin a product with a
+non-lp factor).  A refactor that keeps the lab's arithmetic keeps
 every digest.  A change that moves a report must say which one and why, and
 record the new digest here.
 
@@ -132,5 +135,40 @@ def _caterpillar_instance() -> dict:
 def test_caterpillar_report_digest(tmp_path, command, digest):
     inst, report = tmp_path / "instance.json", tmp_path / "report.json"
     inst.write_text(json.dumps(_caterpillar_instance(), indent=2))
+    assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+STAR_LINE_GOLDEN = [
+    ("check-axioms", "6f9a9fe7b9932a0a12ee1acee80d98f27efbbf289deb78c664d3014225a72fdb"),
+    ("hull", "30a6d52978a16e6e6d81790999d343c85e90b1c49441eb013c5bbeb3e0f0f9b5"),
+    ("paper-checks", "39230734876b08f516f91b0f2ac0cdd019bec32cdac68b82bbe0b8a3c286cb88"),
+]
+
+
+def _star_line_instance() -> dict:
+    """The 3-leaf unit star x l2(R^1), seeded at the leaf ends with right
+    coordinates 0, 1 and 0.5, at eps 0.1."""
+    seeds = [{"kind": "product", "left": {"kind": "tree", "edge": e, "offset": 1.0},
+              "right": {"kind": "euclidean", "coords": [s]}}
+             for e, s in enumerate((0.0, 1.0, 0.5))]
+    return {
+        "format": 1,
+        "space": {"kind": "product",
+                  "left": {"kind": "tree", "nodes": ["c", "l0", "l1", "l2"],
+                           "edges": [["c", "l0", 1.0], ["c", "l1", 1.0], ["c", "l2", 1.0]]},
+                  "right": {"kind": "lp", "dim": 1, "p": 2.0}},
+        "seed_points": seeds,
+        "params": {"eps": 0.1, "hit_eps": 0.1, "delta": 0.45, "face_tol": 0.025,
+                   "t_grid": 7, "segment_samples": 8, "max_rounds": 64,
+                   "rng_seed": 0, "pass_factor": 3.0},
+    }
+
+
+@pytest.mark.parametrize("command, digest", STAR_LINE_GOLDEN,
+                         ids=[c for c, _ in STAR_LINE_GOLDEN])
+def test_star_line_report_digest(tmp_path, command, digest):
+    inst, report = tmp_path / "instance.json", tmp_path / "report.json"
+    inst.write_text(json.dumps(_star_line_instance(), indent=2))
     assert main([command, "--instance", str(inst), "--out", str(report), "--quiet"]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

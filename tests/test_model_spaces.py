@@ -320,13 +320,13 @@ def test_tree_segment_batch_matches_scalar_and_walk(tree_case):
     ts = np.array([k / 9 for k in range(9)])
     S = tree_case.segment_batch(tree_case.pack(pts), I, J, ts)
     want = TREE_DIGESTS[len(tree_case.nodes)]
-    assert _digest(S["edge"], S["off"]) == want["segments"]
+    assert _digest(S[:, 0].astype(np.int64), S[:, 1]) == want["segments"]
     got = tree_case.points_from_packed(S)
     # at t = 1 the walk ends on y's edge, where the last leg is clamped
     apart = [(i, j) for i, j in zip(I, J) if pts[i].edge != pts[j].edge]
     ends = tree_case.segment_batch(tree_case.pack(pts), [i for i, _ in apart],
                                    [j for _, j in apart], np.array([1.0]))
-    assert _digest(ends["edge"], ends["off"]) == want["ends"]
+    assert _digest(ends[:, 0].astype(np.int64), ends[:, 1]) == want["ends"]
     for k, (i, j) in enumerate(zip(I[:150], J[:150])):
         walked = oracles.tree_walk(tree_case, pts[i], pts[j], ts)
         for g, w in zip(got[k * len(ts):(k + 1) * len(ts)], walked):
@@ -340,7 +340,7 @@ def test_tree_same_edge_segment_ends_at_y():
     assert x.offset + 1.0 * (y.offset - x.offset) > 0.45
     S = tree.segment_batch(tree.pack([x, y]), np.array([0, 1]), np.array([1, 0]),
                            np.array([0.5, 1.0]))
-    assert _digest(S["edge"], S["off"]) == SAME_EDGE_DIGEST
+    assert _digest(S[:, 0].astype(np.int64), S[:, 1]) == SAME_EDGE_DIGEST
     assert tree.points_from_packed(S)[1] == y
     assert evaluate_bicombing(tree, x, y, 0.5) == tree.points_from_packed(S)[0]
 
@@ -428,7 +428,8 @@ def test_tree_min_dist_spans_row_blocks(random_tree):
     B = [tree.point_on_edge(int(e), float(rng.uniform(0, tree.edges[e][2]))) for e in edges]
     A = _tree_points(tree, 3000, seed=25)
     PB = tree.pack(B)
-    columns = len(np.unique(np.concatenate([PB["tail"], PB["head"]])))
+    edge = PB[:, 0].astype(np.int64)
+    columns = len(np.unique(np.concatenate([tree._tail[edge], tree._head[edge]])))
     assert len(A) > 2 * (BLOCK_ENTRIES // columns)
     _assert_dense_row_minima(tree, A, B)
 
@@ -456,7 +457,7 @@ def test_tree_space_state_unchanged_by_queries(tree_case):
     tree_case.dist_matrix(P, P)
     tree_case.min_dist(P, P)
     tree_case.segment_batch(P, np.arange(39), np.arange(1, 40), np.array([0.25, 0.5]))
-    tree_case.hull_dist(P, tree_case.packed_take(P, np.arange(5)))
+    tree_case.hull_dist(P, P[:5])
     distance(tree_case, pts[0], pts[1])
     evaluate_bicombing(tree_case, pts[0], pts[1], 0.5)
     hull_closure(tree_case, PointNet.build(tree_case, pts[:3], 0.2))
@@ -472,6 +473,36 @@ def test_tree_space_state_unchanged_by_queries(tree_case):
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
+
+
+def test_every_space_packs_float64_rows_of_its_width(star3):
+    # one layout for every space: a C-contiguous float64 row per point, the
+    # left factor's columns before the right's, nested products recursing;
+    # segment samples come back in it, and tree edges return as ints
+    hyp, line = make_hyperbolic_plane(), make_lp_space(NormedSpaceSpec(1, 2.0))
+    tree_pts = [star3.point_on_edge(2, 0.25), star3.node_point("c"), star3.point_on_edge(1, 1.0)]
+    hyp_pts = [hyperbolic_point_at(0.3, 1.0), hyperbolic_point_at(1.2, -2.0), hyperboloid(1, 0, 0)]
+    nested = make_product(ProductSpaceSpec(make_product(ProductSpaceSpec(hyp, star3)), line))
+    cases = [
+        (line, [euclidean(0.5), euclidean(-1.0), euclidean(2.0)]),
+        (hyp, hyp_pts),
+        (star3, tree_pts),
+        (make_product(ProductSpaceSpec(star3, line)),
+         [ProductPoint(p, euclidean(k)) for k, p in enumerate(tree_pts)]),
+        (nested, [ProductPoint(ProductPoint(h, p), euclidean(k))
+                  for k, (h, p) in enumerate(zip(hyp_pts, tree_pts))]),
+    ]
+    assert [space.width for space, _ in cases] == [1, 3, 2, 3, 6]
+    for space, pts in cases:
+        for P in (space.pack(pts), space.pack([]),
+                  space.segment_batch(space.pack(pts), [0, 1], [1, 2], np.array([0.0, 0.5]))):
+            assert P.dtype == np.float64 and P.ndim == 2 and P.shape[1] == space.width
+            assert P.flags.c_contiguous
+        assert space.points_from_packed(space.pack(pts)) == pts
+    P = nested.pack(cases[-1][1])
+    assert P[:, :3].tolist() == [list(h.coords) for h in hyp_pts]
+    assert P[:, 3:5].tolist() == [[p.edge, p.offset] for p in tree_pts]
+    assert all(type(p.edge) is int for p in star3.points_from_packed(star3.pack(tree_pts)))
 
 
 def test_product_of_lines_matches_plane(plane, product_space):
@@ -493,7 +524,6 @@ def test_min_dist_is_dense_row_minima(case):
     if case == "l2xl2":
         space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(2, 2.0)),
                                               make_lp_space(NormedSpaceSpec(1, 2.0))))
-        A, B = (np.ascontiguousarray(A[:, :2]), A[:, 2:]), (np.ascontiguousarray(B[:, :2]), B[:, 2:])
     else:
         space = make_lp_space(NormedSpaceSpec(3, {"l1": 1.0, "l2": 2.0, "linf": math.inf}[case]))
     assert space.min_dist(A, B).tobytes() == space.dist_matrix(A, B).min(axis=1).tobytes()
