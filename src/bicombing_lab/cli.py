@@ -105,7 +105,10 @@ def _cmd_gen(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{name} must be a finite number, got {value}")
-    p = math.inf if args.p == "inf" else float(args.p)
+    try:
+        p = float(args.p)
+    except ValueError:
+        raise InvalidInputError(f"--p must be a number or inf, got {args.p!r}") from None
     inst = generate_instance(
         args.kind,
         step=args.step,

@@ -298,6 +298,10 @@ def is_extremal_set(
     return SetVerdict(extremal=True, witness=None)
 
 
+#: step cap of the farthest-point descent
+_DESCENT_MAX_ITERS = 50
+
+
 @dataclass(frozen=True)
 class DescentResult:
     """Endpoint of the farthest-point face descent plus its audit trail."""
@@ -313,7 +317,6 @@ def minimal_extremal_descent(
     C: PointNet,
     start: Point,
     params: ExtremalParams,
-    max_iters: int = 50,
 ) -> DescentResult:
     """Drive a face down to a single point by repeatedly taking the argmax face
     of the distance to the current anchor.
@@ -322,7 +325,8 @@ def minimal_extremal_descent(
     increases; while the anchor belongs to the current face and face_tol stays
     below the net separation, the anchor itself drops out and the trace strictly
     decreases, which forces termination on finite nets.  Stops when the face is
-    a single stored point or its diameter is at most 2*eps.
+    a single stored point or its diameter is at most 2*eps, or after
+    _DESCENT_MAX_ITERS steps.
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
@@ -333,14 +337,14 @@ def minimal_extremal_descent(
     face = C
     anchor = start
     trace = [len(face)]
-    for it in range(1, max_iters + 1):
+    for it in range(1, _DESCENT_MAX_ITERS + 1):
         if len(face) == 1 or face.diameter <= 2.0 * params.eps:
             return DescentResult(face.points[0], tuple(trace), True, it - 1)
         face = argmax_face(space, face, ConvexFunctional.dist_to_point(anchor), params.face_tol)
         anchor = face.points[0]  # canonical representative
         trace.append(len(face))
     converged = len(face) == 1 or face.diameter <= 2.0 * params.eps
-    return DescentResult(face.points[0], tuple(trace), converged, max_iters)
+    return DescentResult(face.points[0], tuple(trace), converged, _DESCENT_MAX_ITERS)
 
 
 def canonical_starts(C: PointNet, count: int = 5) -> list[Point]:

@@ -340,6 +340,9 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
                       radius: float = 0.5, side: float = 1.0,
                       rng_seed: int = 0) -> InstanceFile:
     """Deterministic instance of one of the built-in kinds."""
+    for name, value in (("step", step), ("eps", eps), ("side", side)):
+        if value is not None and not value > 0:
+            raise InvalidInputError(f"{name} must be positive, got {value}")
     if kind == "square":
         space = make_lp_space(NormedSpaceSpec(2, 2.0))
         pts = [euclidean(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]

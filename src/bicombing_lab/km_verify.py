@@ -31,6 +31,11 @@ from .extremal import (
 )
 from .space_core import BicombedSpace, InvalidInputError
 
+#: t-grid of the paper checks' functional convexity tests
+_CHECK_GRID = 16
+#: random net point pairs of the distance-to-set Lipschitz check
+_LIPSCHITZ_PAIRS = 1000
+
 
 @dataclass(frozen=True)
 class KMReport:
@@ -173,8 +178,6 @@ def run_paper_checks(
     functional_suite: list,
     params: ExtremalParams,
     rng_seed: int = 0,
-    grid: int = 16,
-    lipschitz_pairs: int = 1000,
     segment_samples: int = 8,
     max_rounds: int = 64,
 ) -> PaperChecksReport:
@@ -198,7 +201,7 @@ def run_paper_checks(
 
     face_entries: list[FaceCheckEntry] = []
     for phi in functional_suite:
-        conv = check_convex_functional(space, phi, domain, grid=grid, tol=space.base_tol)
+        conv = check_convex_functional(space, phi, domain, grid=_CHECK_GRID, tol=space.base_tol)
         if not conv.ok:
             face_entries.append(
                 FaceCheckEntry(
@@ -225,7 +228,7 @@ def run_paper_checks(
     K = hull_closure(space, C.take(sub_idx), segment_samples, max_rounds).net
     dK = ConvexFunctional.dist_to_net(K)
 
-    pair_idx = rng.integers(0, m, size=(lipschitz_pairs, 2))
+    pair_idx = rng.integers(0, m, size=(_LIPSCHITZ_PAIRS, 2))
     A, B = C.packed[pair_idx[:, 0]], C.packed[pair_idx[:, 1]]
     fa = dK.evaluate_packed(space, A)
     fb = dK.evaluate_packed(space, B)
@@ -236,7 +239,7 @@ def run_paper_checks(
     sample_idx = np.sort(rng.choice(m, size=min(30, m), replace=False))
     sample_domain = C.take(sample_idx)
     conv_tol = 2.0 * K.eps + space.base_tol
-    conv = check_convex_functional(space, dK, sample_domain, grid=grid, tol=conv_tol)
+    conv = check_convex_functional(space, dK, sample_domain, grid=_CHECK_GRID, tol=conv_tol)
 
     dist_check = DistanceSetCheck(
         hull_size=len(K),

@@ -8,10 +8,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .space_core import (
     BicombedSpace,
@@ -22,8 +21,8 @@ from .space_core import (
     Point,
     ProductPoint,
     TreePoint,
+    _KDTreeIndex,
     _row_blocks,
-    worker_count,
 )
 
 
@@ -181,99 +180,6 @@ def _polyhedral_hull_dist(
 # ---------------------------------------------------------------------------
 
 
-def _identity(X):
-    return X
-
-
-class _KDTreeIndex:
-    """KD-tree over coordinate rows, measured in the p-norm."""
-
-    def __init__(self, data: np.ndarray, p: float):
-        self.tree = cKDTree(data)
-        self.p = p
-
-    def min_dist(self, queries: np.ndarray) -> np.ndarray:
-        d, _ = self.tree.query(np.atleast_2d(queries), k=1, p=self.p, workers=worker_count())
-        return np.atleast_1d(d)
-
-
-class _ProductJointIndex(_KDTreeIndex):
-    """KD index over l^2 x l^2 rows: the factor columns side by side are
-    Euclidean coordinates of the product."""
-
-    # its own class attribute, so that perfbench/spans.py times product
-    # queries apart from lp ones
-    min_dist = _KDTreeIndex.min_dist
-
-
-#: relative margin on KD-tree radii (the reflected ball radius, the close-pair
-#: radius), so rounding in the reflected centre or in the KD-tree's distances
-#: can never drop a hitting chord or a close pair
-_BALL_MARGIN = 1e-9
-
-
-def _kd_close_pairs(space, packed, r: float, p: float):
-    """``close_pairs`` of a coordinate space whose ``_dist_block`` entries
-    equal its ``paired_dist``: pairs within r (1 + _BALL_MARGIN) by KD-tree
-    distance in the p-norm, kept where the exact ``paired_dist`` is below r."""
-    pairs = cKDTree(packed).query_pairs(r * (1.0 + _BALL_MARGIN), p=p, output_type="ndarray")
-    I, J = pairs[np.lexsort(pairs.T[::-1])].T
-    close = space.paired_dist(packed[J], packed[I]) < r
-    return I[close], J[close]
-
-
-class _ReflectedChords:
-    """Candidate chords through a target set by reflected-endpoint ball
-    queries, for a packed set whose segment map is linear in coordinates that
-    a p-norm measures (lp spaces; l^2 x l^2 products, whose rows are such
-    coordinates).
-
-    On a linear chord (1-t)x + ty - q = t(y - y*) with y* = (q - (1-t)x)/t,
-    so its sample at t lies within eps of a target q exactly when y lies
-    within eps/t of y*.  The t grid is symmetric, so ordered pairs (x, y) at
-    t >= 1/2 cover every chord at every t, with radii at most 2*eps.  One
-    k = 1 query per (q, x, t) proposes the nearest y; where such a y exists,
-    the whole ball follows, for the confirm step to fall back on when no
-    nearest y confirms.
-    """
-
-    def __init__(self, packed, p: float):
-        self.coords, self.p = packed, p
-
-    def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
-                   eps: float, ts: np.ndarray):
-        """Yield (I, J) blocks, I < J: the nearest y of every (q, x, t), one t
-        at a time from t = 1/2 up and targets q in row blocks, then every y
-        in the balls where a nearest one was found.  d_to_target is unused:
-        the reflection needs only coordinates."""
-        X = self.coords[elig]
-        tree = cKDTree(X)  # one thread: a point's queries are a few hundred rows
-        blocks = _row_blocks(len(target), len(X))
-        balls = []
-        for t in ts[ts >= 0.5]:
-            r = eps / t * (1.0 + _BALL_MARGIN)
-            for rows in blocks:
-                centres = ((target[rows, None, :] - (1.0 - t) * X) / t).reshape(-1, X.shape[1])
-                d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
-                hit = np.nonzero(np.isfinite(d))[0]
-                xs = hit % len(X)
-                yield _ordered_pairs(elig, xs, k[hit])
-                balls.append((xs, centres[hit], r))
-        for xs, centres, r in balls:
-            found = tree.query_ball_point(centres, r, p=self.p)
-            counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
-            ys = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64,
-                             count=int(counts.sum()))
-            yield _ordered_pairs(elig, np.repeat(xs, counts), ys)
-
-
-def _ordered_pairs(elig: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Stored-index pairs (I, J), I < J, of local pairs (xs, ys), x != y."""
-    keep = xs != ys
-    a, b = elig[xs[keep]], elig[ys[keep]]
-    return np.minimum(a, b), np.maximum(a, b)
-
-
 class LpSpace(BicombedSpace):
     """R^n with the l^p norm and the straight-line segment map.
 
@@ -287,7 +193,7 @@ class LpSpace(BicombedSpace):
     def __init__(self, spec: NormedSpaceSpec):
         self.spec = spec
         self.n = self.width = spec.dimension
-        self.p = spec.exponent
+        self.p = self.linear_p = spec.exponent
         pname = "inf" if math.isinf(self.p) else f"{self.p:g}"
         self.description = f"l{pname}(R^{self.n})"
 
@@ -297,8 +203,9 @@ class LpSpace(BicombedSpace):
         if not all(map(math.isfinite, p.coords)):
             raise InvalidInputError(f"{p!r} has a non-finite coordinate")
 
-    def _norms(self, diff: np.ndarray) -> np.ndarray:
-        """l^p norms of difference vectors along the last axis."""
+    def paired_dist(self, A, B) -> np.ndarray:
+        """l^p norms of the row differences."""
+        diff = A - B
         if math.isinf(self.p):
             return np.abs(diff).max(axis=-1)
         if self.p == 2.0:
@@ -313,30 +220,12 @@ class LpSpace(BicombedSpace):
     def _point(self, row: list) -> EuclideanPoint:
         return EuclideanPoint(tuple(row))
 
-    def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self._norms(A[:, None, :] - B[None, :, :])
-
-    def make_index(self, packed):
-        return _KDTreeIndex(packed, self.p)
-
-    def cover_frame(self, packed):
-        return CoverFrame(_identity, _identity, packed.min(axis=0), packed.max(axis=0), self.p)
-
-    def make_chord_finder(self, packed):
-        return _ReflectedChords(packed, self.p)
-
-    def close_pairs(self, packed, r: float):
-        return _kd_close_pairs(self, packed, r, self.p)
-
     def segment_batch(self, packed, I, J, ts) -> np.ndarray:
         X = packed[I]
         Y = packed[J]
         ts = np.asarray(ts, dtype=np.float64)
         S = (1.0 - ts)[None, :, None] * X[:, None, :] + ts[None, :, None] * Y[:, None, :]
         return S.reshape(len(I) * len(ts), self.n)
-
-    def paired_dist(self, A, B) -> np.ndarray:
-        return self._norms(A - B)
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Exact l^p distance to conv(K) for p in {1, 2, inf} (any p on a line):
@@ -363,10 +252,6 @@ def make_lp_space(spec: NormedSpaceSpec) -> LpSpace:
 # ---------------------------------------------------------------------------
 
 _MINK_SIGNS = np.array([-1.0, 1.0, 1.0])
-
-
-def _mink(x: Sequence[float], y: Sequence[float]) -> float:
-    return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _minkowski_sq(U: np.ndarray) -> np.ndarray:
@@ -409,7 +294,7 @@ class HyperbolicPlane(BicombedSpace):
             raise InvalidInputError(f"{p!r} has a non-finite coordinate")
         if not c[0] > 0:
             raise InvalidInputError(f"hyperboloid point must have x0 > 0, got {c[0]}")
-        q = _mink(c, c)
+        q = float(_minkowski_sq(np.array(c)))
         if abs(q + 1.0) > self._INVARIANT_TOL:
             raise InvalidInputError(
                 f"point off the unit hyperboloid: <x,x>_M = {q!r} (|<x,x>_M + 1| > 1e-9)"
@@ -687,28 +572,19 @@ class TreeSpace(BicombedSpace):
         grid = np.ix_(pos, pos)
         return np.ascontiguousarray(dist_to.T[grid]), first[grid]
 
-    def _node_point(self, node: int) -> TreePoint:
-        e = int(self._canon_edge[node])
-        return TreePoint(e, 0.0 if self._tail[e] == node else float(self._len[e]))
-
     def point_on_edge(self, edge: int, offset: float) -> TreePoint:
         """Canonical point at `offset` along edge `edge` from its tail node."""
         if not 0 <= edge < len(self.edges):
             raise InvalidInputError(f"edge index {edge} out of range")
-        length = float(self._len[edge])
-        offset = float(offset)
-        if not 0.0 <= offset <= length:
-            raise InvalidInputError(f"offset {offset} outside [0, {length}] on edge {edge}")
-        if offset == 0.0:
-            return self._node_point(int(self._tail[edge]))
-        if offset == length:
-            return self._node_point(int(self._head[edge]))
-        return TreePoint(edge, offset)
+        (e,), (off,) = self._canonical(np.array([edge]), np.array([float(offset)]))
+        return TreePoint(int(e), float(off))
 
     def node_point(self, name: str) -> TreePoint:
         if name not in self._node_idx:
             raise InvalidInputError(f"unknown node {name!r}")
-        return self._node_point(self._node_idx[name])
+        node = self._node_idx[name]
+        e = int(self._canon_edge[node])
+        return TreePoint(e, 0.0 if self._tail[e] == node else float(self._len[e]))
 
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, TreePoint):
@@ -732,46 +608,29 @@ class TreeSpace(BicombedSpace):
         return TreePoint(int(row[0]), row[1])
 
     def _ends(self, P: np.ndarray) -> dict:
-        """What the kernels read of packed rows: the edge as integers, the
-        offset, the edge's end nodes and the legs to them."""
-        edge, off = P[:, 0].astype(np.int64), P[:, 1]
+        """What the kernels read of packed rows (on the last axis): the edge
+        as integers, the offset, the edge's end nodes and the legs to them."""
+        edge, off = P[..., 0].astype(np.int64), P[..., 1]
         return {"edge": edge, "off": off, "tail": self._tail[edge], "head": self._head[edge],
                 "to_tail": off, "to_head": self._len[edge] - off}
 
     def _canonical(self, edge: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`point_on_edge` over arrays: the first offset outside [0, length]
-        raises, and node locations move to their canonical edge."""
+        raises; node locations, and only they, move to their canonical edge."""
         length = self._len[edge]
-        bad = ~((off >= 0.0) & (off <= length))
-        if bad.any():
-            i = int(np.argmax(bad))
+        ok = (off >= 0.0) & (off <= length)
+        if not ok.all():
+            i = int(np.argmin(ok))
             raise InvalidInputError(
                 f"offset {float(off[i])} outside [0, {float(length[i])}] on edge {int(edge[i])}"
             )
-        node = np.where(off == 0.0, self._tail[edge], np.where(off == length, self._head[edge], -1))
-        at = node >= 0
+        at = (off == 0.0) | (off == length)
         if at.any():
-            edge, off, node = edge.copy(), off.copy(), node[at]
+            edge, off = edge.copy(), off.copy()
+            node = np.where(off[at] == 0.0, self._tail[edge[at]], self._head[edge[at]])
             edge[at] = self._canon_edge[node]
             off[at] = np.where(self._tail[edge[at]] == node, 0.0, self._len[edge[at]])
         return edge, off
-
-    def _dist_block(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """The `_ROUTE_ENDS` terms with node distances read from the
-        flattened table; entries on one edge are |offset difference|."""
-        A, B = self._ends(A), self._ends(B)
-        table, n = self._dist.ravel(), len(self._dist)
-        d = None
-        for a, u, v, b in _ROUTE_ENDS:
-            term = table.take(A[u][:, None] * n + B[v])
-            np.add(A[a][:, None], term, out=term)
-            term += B[b]
-            d = term if d is None else np.minimum(d, term, out=d)
-        same = A["edge"][:, None] == B["edge"]
-        if same.any():
-            r, c = np.nonzero(same)
-            d[r, c] = np.abs(A["off"][r] - B["off"][c])
-        return d
 
     def min_dist(self, A, B) -> np.ndarray:
         """Row minima of ``dist_matrix(A, B)``, bit for bit, without forming
@@ -844,7 +703,7 @@ class TreeSpace(BicombedSpace):
 
         far = moving[X["edge"][moving] != Y["edge"][moving]]
         x, y = self._ends(PX[far]), self._ends(PY[far])
-        routes = self._routes(x, y)
+        routes = np.stack(list(self._route_terms(x, y)))
         k = routes.argmin(axis=0)
         s = t[far] * routes[k, np.arange(len(far))]
         exit_is_tail = k < 2
@@ -900,17 +759,26 @@ class TreeSpace(BicombedSpace):
         s = ts[None, :, None] * L[:, None, None]  # (P, g, 1)
         return np.abs(s - s_star[:, None, :]) + d_star[:, None, :]
 
-    def _routes(self, A, B) -> np.ndarray:
-        """Rowwise route terms, in `_ROUTE_ENDS` order: shape (4, len(A))."""
-        D = self._dist
-        return np.stack([A[a] + D[A[u], B[v]] + B[b] for a, u, v, b in _ROUTE_ENDS])
+    def _route_terms(self, A, B):
+        """`_ROUTE_ENDS` terms of broadcasting ends, one at a time, node distances by take."""
+        table, n = self._dist.ravel(), len(self._dist)
+        for a, u, v, b in _ROUTE_ENDS:
+            term = table.take(A[u] * n + B[v])
+            np.add(A[a], term, out=term)
+            term += B[b]
+            yield term
 
     def paired_dist(self, A, B) -> np.ndarray:
+        """Least route term, |offset difference| on one edge; a running
+        minimum holds one term at a time beside it."""
         A, B = self._ends(A), self._ends(B)
-        d = self._routes(A, B).min(axis=0)
+        terms = self._route_terms(A, B)
+        d = next(terms)
+        for term in terms:
+            np.minimum(d, term, out=d)
         same = A["edge"] == B["edge"]
         if same.any():
-            d = np.where(same, np.abs(A["off"] - B["off"]), d)
+            np.copyto(d, np.abs(A["off"] - B["off"]), where=same)
         return d
 
     def hull_dist(self, A, K) -> np.ndarray:
@@ -958,12 +826,25 @@ def star_tree(leaves: int, length: float = 1.0) -> TreeSpace:
 # ---------------------------------------------------------------------------
 
 
+class _ProductJointIndex(_KDTreeIndex):
+    """KD index over l^2 x l^2 rows: the factor columns side by side are
+    Euclidean coordinates of the product."""
+
+    # its own class attribute, so that perfbench/spans.py times product
+    # queries apart from lp ones
+    min_dist = _KDTreeIndex.min_dist
+
+
 class ProductSpace(BicombedSpace):
     """l^2 product of two spaces: distances combine as sqrt(dA^2 + dB^2) and
     segments evaluate componentwise.  The combination is convex and
     nondecreasing in each nonnegative coordinate, so distance convexity in the
-    factors transfers to the product.
+    factors transfers to the product.  Only l^2 x l^2 is linear (``linear_p``
+    2): over nested products a KD-tree distance would round differently from
+    the hypot of factor distances.
     """
+
+    _kd_index = _ProductJointIndex
 
     def __init__(self, spec: ProductSpaceSpec):
         self.left = spec.left
@@ -972,13 +853,8 @@ class ProductSpace(BicombedSpace):
         self.width = self.left.width + self.right.width
         self.base_tol = max(self.left.base_tol, self.right.base_tol)
         self.description = f"({self.left.description}) x ({self.right.description})"
-        # the rows of an l^2 x l^2 product are Euclidean coordinates of it
-        self._joint_lp2 = (
-            isinstance(self.left, LpSpace)
-            and isinstance(self.right, LpSpace)
-            and self.left.p == 2.0
-            and self.right.p == 2.0
-        )
+        if all(isinstance(f, LpSpace) and f.p == 2.0 for f in (self.left, self.right)):
+            self.linear_p = 2.0
 
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, ProductPoint):
@@ -996,31 +872,11 @@ class ProductSpace(BicombedSpace):
     def _split(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The left and right factor columns of packed rows (views)."""
         a = self.left.width
-        return P[:, :a], P[:, a:]
+        return P[..., :a], P[..., a:]
 
     def _dist_block(self, A, B) -> np.ndarray:
         (Al, Ar), (Bl, Br) = self._split(A), self._split(B)
         return np.hypot(self.left._dist_block(Al, Bl), self.right._dist_block(Ar, Br))
-
-    def make_index(self, packed):
-        if self._joint_lp2:
-            return _ProductJointIndex(packed, 2.0)
-        return super().make_index(packed)
-
-    def cover_frame(self, packed):
-        if self._joint_lp2:
-            return CoverFrame(_identity, _identity, packed.min(axis=0), packed.max(axis=0), 2.0)
-        return super().cover_frame(packed)
-
-    def make_chord_finder(self, packed):
-        if self._joint_lp2:
-            return _ReflectedChords(packed, 2.0)
-        return super().make_chord_finder(packed)
-
-    def close_pairs(self, packed, r: float):
-        if self._joint_lp2:
-            return _kd_close_pairs(self, packed, r, 2.0)
-        return super().close_pairs(packed, r)
 
     def segment_batch(self, packed, I, J, ts):
         L, R = self._split(packed)
@@ -1034,7 +890,7 @@ class ProductSpace(BicombedSpace):
     def hull_dist(self, A, K) -> np.ndarray:
         """Exact distance to conv(K) for l^2 x l^2 products (one Euclidean space
         on the rows) and for star tree x line."""
-        if self._joint_lp2:
+        if self.linear_p is not None:
             return _euclidean_hull_dist(A, K)
         centre = self.left.star_centre() if isinstance(self.left, TreeSpace) else None
         if centre is None or not (isinstance(self.right, LpSpace) and self.right.n == 1):

@@ -10,11 +10,13 @@ runtime are endpoint/idempotence behaviour (``[x,y](0) = x``, ``[x,y](1) = y``,
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class InvalidInputError(ValueError):
@@ -123,6 +125,18 @@ class _PackedIndex:
         return self.space.min_dist(packed_queries, self.packed)
 
 
+class _KDTreeIndex:
+    """KD-tree over coordinate rows, measured in the p-norm."""
+
+    def __init__(self, data: np.ndarray, p: float):
+        self.tree = cKDTree(data)
+        self.p = p
+
+    def min_dist(self, queries: np.ndarray) -> np.ndarray:
+        d, _ = self.tree.query(np.atleast_2d(queries), k=1, p=self.p, workers=worker_count())
+        return np.atleast_1d(d)
+
+
 @dataclass(frozen=True)
 class CoverFrame:
     """Coordinates in which hull closure grids its cell cover.
@@ -179,6 +193,63 @@ class _AlignedChords:
             yield R[ri], elig[ci]
 
 
+#: relative margin on KD-tree radii (the reflected ball radius, the close-pair
+#: radius), so rounding in the reflected centre or in the KD-tree's distances
+#: can never drop a hitting chord or a close pair
+_BALL_MARGIN = 1e-9
+
+
+class _ReflectedChords:
+    """Candidate chords through a target set by reflected-endpoint ball
+    queries, for a packed set whose rows are linear coordinates in a p-norm
+    (``BicombedSpace.linear_p``).
+
+    On a linear chord (1-t)x + ty - q = t(y - y*) with y* = (q - (1-t)x)/t,
+    so its sample at t lies within eps of a target q exactly when y lies
+    within eps/t of y*.  The t grid is symmetric, so ordered pairs (x, y) at
+    t >= 1/2 cover every chord at every t, with radii at most 2*eps.  One
+    k = 1 query per (q, x, t) proposes the nearest y; where such a y exists,
+    the whole ball follows, for the confirm step to fall back on when no
+    nearest y confirms.
+    """
+
+    def __init__(self, packed, p: float):
+        self.coords, self.p = packed, p
+
+    def candidates(self, target, d_to_target: np.ndarray, elig: np.ndarray,
+                   eps: float, ts: np.ndarray):
+        """Yield (I, J) blocks, I < J: the nearest y of every (q, x, t), one t
+        at a time from t = 1/2 up and targets q in row blocks, then every y
+        in the balls where a nearest one was found.  d_to_target is unused:
+        the reflection needs only coordinates."""
+        X = self.coords[elig]
+        tree = cKDTree(X)  # one thread: a point's queries are a few hundred rows
+        blocks = _row_blocks(len(target), len(X))
+        balls = []
+        for t in ts[ts >= 0.5]:
+            r = eps / t * (1.0 + _BALL_MARGIN)
+            for rows in blocks:
+                centres = ((target[rows, None, :] - (1.0 - t) * X) / t).reshape(-1, X.shape[1])
+                d, k = tree.query(centres, k=1, p=self.p, distance_upper_bound=r)
+                hit = np.nonzero(np.isfinite(d))[0]
+                xs = hit % len(X)
+                yield _ordered_pairs(elig, xs, k[hit])
+                balls.append((xs, centres[hit], r))
+        for xs, centres, r in balls:
+            found = tree.query_ball_point(centres, r, p=self.p)
+            counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+            ys = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64,
+                             count=int(counts.sum()))
+            yield _ordered_pairs(elig, np.repeat(xs, counts), ys)
+
+
+def _ordered_pairs(elig: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Stored-index pairs (I, J), I < J, of local pairs (xs, ys), x != y."""
+    keep = xs != ys
+    a, b = elig[xs[keep]], elig[ys[keep]]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 class BicombedSpace:
     """A metric space with a distinguished segment map.
 
@@ -199,10 +270,20 @@ class BicombedSpace:
 
     - ``_row(p)`` and ``_point(row)``: one point to and from its row, which
       ``pack(points)`` and ``points_from_packed(packed)`` apply to a set;
-    - ``_dist_block(A, B)``: the dense distance matrix of two packed sets;
-    - ``paired_dist(A, B)``: rowwise distances of equal-length packed sets;
+    - ``paired_dist(A, B)``: distances of rows that broadcast (rowwise pairs);
     - ``segment_batch(packed, I, J, ts)``: packed samples [I[k], J[k]](t)
       for every t in ts, pair-major (len(I) * len(ts) rows).
+
+    Each distance is written once, as ``paired_dist``: the dense block
+    ``_dist_block(A, B)`` is ``paired_dist(A[:, None], B[None])``.  Only the
+    hyperbolic plane (a Gram product through BLAS) and products (the hypot
+    of factor blocks, so a hyperbolic factor keeps its Gram rounding)
+    override it.
+
+    ``linear_p`` is the p of a norm in which rows are linear coordinates
+    (lp, l^2 x l^2).  Those spaces get KD-tree nearest queries and close
+    pairs, a cell cover on the rows and reflected-endpoint chord queries;
+    the others scan dense blocks and filter chords by alignment.
 
     Set-level operations (hull closure, extremal scans), the single-point
     operations ``distance`` and ``evaluate_bicombing``, and ``check_axioms``
@@ -221,6 +302,10 @@ class BicombedSpace:
     #: whether a packed row is the point's coordinate vector, which linear
     #: functionals read (lp and the hyperboloid)
     coordinate_rows: bool = False
+    #: p of the norm in which packed rows are linear coordinates, or None
+    linear_p: float | None = None
+    #: index class of linear spaces (perfbench/spans.py times products' apart)
+    _kd_index = _KDTreeIndex
 
     def validate_point(self, p: Point) -> None:
         raise NotImplementedError
@@ -234,6 +319,9 @@ class BicombedSpace:
     def packed_len(self, packed) -> int:
         # kept for perfbench/spans.py, which counts kernel work with it
         return len(packed)
+
+    def _dist_block(self, A, B) -> np.ndarray:
+        return self.paired_dist(A[:, None], B[None])
 
     def dist_matrix(self, A, B) -> np.ndarray:
         """Pairwise distance matrix between two packed sets, built in row blocks."""
@@ -258,33 +346,44 @@ class BicombedSpace:
     def close_pairs(self, packed, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Row pairs (I, J), I < J, of a packed set at distance below r,
         ordered by I, then J; the distance of a pair is entry [J, I] of
-        ``dist_matrix(packed, packed)``.  Coordinate spaces override this
-        with KD-tree pairs re-decided by ``paired_dist``."""
-        D = self.dist_matrix(packed, packed)
-        return np.nonzero(np.triu(D.T < r, k=1))
+        ``dist_matrix(packed, packed)``.  Linear spaces take KD-tree pairs
+        within r (1 + _BALL_MARGIN) and re-decide them by ``paired_dist``."""
+        if self.linear_p is None:
+            D = self.dist_matrix(packed, packed)
+            return np.nonzero(np.triu(D.T < r, k=1))
+        pairs = cKDTree(packed).query_pairs(r * (1.0 + _BALL_MARGIN), p=self.linear_p,
+                                            output_type="ndarray")
+        I, J = pairs[np.lexsort(pairs.T[::-1])].T
+        close = self.paired_dist(packed[J], packed[I]) < r
+        return I[close], J[close]
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Per-row distance from packed set A to the closed convex hull of the
         packed set K.  Spaces with an exact hull route override this."""
         raise InvalidInputError(f"no exact distance-to-hull route for {self.description}")
 
-    def make_index(self, packed) -> _PackedIndex:
+    def make_index(self, packed):
         """Index for repeated nearest-distance queries against a fixed set."""
-        return _PackedIndex(self, packed)
+        if self.linear_p is None:
+            return _PackedIndex(self, packed)
+        return self._kd_index(packed, self.linear_p)
 
     def cover_frame(self, packed) -> CoverFrame | None:
         """Grid coordinates for the cell cover of a hull closure seeded with
         the packed set, or None where the space has none (its closures query
-        every sample)."""
-        return None
+        every sample).  Linear spaces grid their rows' (convex) box."""
+        if self.linear_p is None:
+            return None
+        return CoverFrame(np.asarray, np.asarray, packed.min(axis=0), packed.max(axis=0),
+                          self.linear_p)
 
-    def make_chord_finder(self, packed) -> _AlignedChords:
+    def make_chord_finder(self, packed):
         """Candidate step of the extremal scan over a fixed packed set: its
         ``candidates`` yield a superset of the stored pairs whose chords pass
-        within eps of some row of a packed target set.  Spaces whose segment
-        map is linear in a p-norm override this with reflected-endpoint ball
-        queries."""
-        return _AlignedChords(self, packed)
+        within eps of some row of a packed target set."""
+        if self.linear_p is None:
+            return _AlignedChords(self, packed)
+        return _ReflectedChords(packed, self.linear_p)
 
     def chord_dists(
         self, packed, I: np.ndarray, J: np.ndarray, ts: np.ndarray, targets

@@ -352,7 +352,7 @@ def test_criterion_6_descent(capsys, km_base_runs):
     for name, (space, C, rep, _nets) in km_base_runs.items():
         params = ExtremalParams.defaults(C)
         for start in canonical_starts(C, 5):
-            res = minimal_extremal_descent(space, C, start, params, max_iters=50)
+            res = minimal_extremal_descent(space, C, start, params)
             strict = all(a > b for a, b in zip(res.trace, res.trace[1:]))
             endpoint_ok = is_extremal_point(space, C, res.point, params).extremal
             if not (res.converged and res.iterations <= 50 and strict and endpoint_ok):

@@ -22,7 +22,10 @@ while the set test still scanned every chord pair of the net (they pin the
 witness chords of failing faces; these reports exit 1), and the star tree x
 line cases at commit f91d81e, while product sets were packed as pairs of
 factor sets and tree sets as dicts of columns (they pin a product with a
-non-lp factor).  A refactor that keeps the lab's arithmetic keeps
+non-lp factor), and the ``verify-km`` case on the l3 ball at commit 051f4aa,
+while lp spaces still overrode the KD-tree index, close pairs, cell cover and
+reflected chords themselves (it pins those at a p other than 1, 2 and inf).
+A refactor that keeps the lab's arithmetic keeps
 every digest.  A change that moves a report must say which one and why, and
 record the new digest here.
 
@@ -78,6 +81,8 @@ GOLDEN = [
      "7043096b3bd3485b7f1717dae4d43886185a2002c84a25e90d1bb54be63e50f9"),
     ("verify-km", ["hyp_triangle", "--side", "2"],
      "3c9c91a9e17983208995ae30182b19e22efa6f84bd63cb12f26c01b830b87558"),
+    ("verify-km", ["lp_ball", "--p", "3"],
+     "be518e8d53ed9cb4fe475e32a1a0333dd6b901aea335168613644efca097e6c2"),
 ]
 
 

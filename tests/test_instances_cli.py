@@ -253,6 +253,22 @@ def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["lp_ball", "--p", "abc"], "--p"),
+    (["cube", "--step", "0"], "step"),
+    (["hyp_triangle", "--side", "0"], "side"),
+    (["cube", "--step", "-0.1"], "step"),
+    (["cube", "--step", "0.5", "--eps", "-1"], "eps"),
+])
+def test_cli_gen_rejects_bad_flags(argv, name, tmp_path, capsys):
+    # the first three used to crash with a traceback; the last two wrote
+    # instance files that every pipeline rejected
+    out = tmp_path / "out.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_threads_env_validated(tmp_path, monkeypatch):
     monkeypatch.setenv("BICOMBING_LAB_THREADS", "many")
     assert main(["gen", "square", "--out", str(tmp_path / "s.json")]) == 2

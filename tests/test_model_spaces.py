@@ -31,6 +31,7 @@ from bicombing_lab import (
     make_lp_space,
     make_metric_tree,
     make_product,
+    model_spaces,
     star_tree,
 )
 from bicombing_lab.space_core import BLOCK_ENTRIES
@@ -527,6 +528,68 @@ def test_min_dist_is_dense_row_minima(case):
     else:
         space = make_lp_space(NormedSpaceSpec(3, {"l1": 1.0, "l2": 2.0, "linf": math.inf}[case]))
     assert space.min_dist(A, B).tobytes() == space.dist_matrix(A, B).min(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf", "star", "path", "caterpillar",
+                                  "l2xl2", "star_x_line"])
+def test_dist_matrix_entries_are_paired_dist(name, caterpillar):
+    """dist_matrix(A, B)[i, j] is paired_dist(A[[i]], B[[j]]) bit for bit;
+    A and B share rows, so zero and same-edge entries occur."""
+    rng = np.random.default_rng(31)
+    line = make_lp_space(NormedSpaceSpec(1, 2.0))
+    trees = {"star": star_tree(3), "path": _path_tree(), "caterpillar": caterpillar}
+    if name in trees:
+        space = trees[name]
+        pts = _tree_points(space, 60, seed=32)
+    elif name == "star_x_line":
+        star = star_tree(3)
+        space = make_product(ProductSpaceSpec(star, line))
+        pts = [ProductPoint(t, euclidean(x))
+               for t, x in zip(_tree_points(star, 60, seed=32), rng.uniform(-1, 1, 60))]
+    elif name == "l2xl2":
+        space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(2, 2.0)), line))
+        pts = [ProductPoint(euclidean(a, b), euclidean(c)) for a, b, c in rng.uniform(-1, 1, (60, 3))]
+    else:
+        p = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "linf": math.inf}[name]
+        space = make_lp_space(NormedSpaceSpec(3, p))
+        pts = [euclidean(*row) for row in rng.uniform(-1, 1, (60, 3))]
+    P = space.pack(pts)
+    A, B = P[:40], P[20:]
+    want = [[space.paired_dist(A[[i]], B[[j]])[0] for j in range(len(B))] for i in range(len(A))]
+    assert space.dist_matrix(A, B).tobytes() == np.array(want).tobytes()
+
+
+def test_product_block_keeps_hyperbolic_gram_rounding(hplane):
+    # the product's block is the hypot of the factor blocks, so a hyperbolic
+    # factor keeps its Gram form, which rounds differently from paired_dist
+    line = make_lp_space(NormedSpaceSpec(1, 2.0))
+    space = make_product(ProductSpaceSpec(hplane, line))
+    rng = np.random.default_rng(33)
+    pts = [ProductPoint(hyperbolic_point_at(r, th), euclidean(x))
+           for r, th, x in zip(rng.uniform(0, 2, 50), rng.uniform(0, 2 * math.pi, 50),
+                               rng.uniform(-1, 1, 50))]
+    P = space.pack(pts)
+    H, L = P[:, :3], P[:, 3:]
+    want = np.hypot(hplane.dist_matrix(H, H), line.dist_matrix(L, L))
+    assert space.dist_matrix(P, P).tobytes() == want.tobytes()
+
+
+def test_linear_p_declares_linear_rows(star3, hplane, caterpillar):
+    l1, l2, l3, linf = (make_lp_space(NormedSpaceSpec(2, p)) for p in (1.0, 2.0, 3.0, math.inf))
+    line = make_lp_space(NormedSpaceSpec(1, 2.0))
+    l2xl2 = make_product(ProductSpaceSpec(l2, line))
+    cases = [
+        (l1, 1.0), (l2, 2.0), (l3, 3.0), (linf, math.inf), (l2xl2, 2.0),
+        (hplane, None), (star3, None), (caterpillar, None),
+        (make_product(ProductSpaceSpec(star3, line)), None),
+        (make_product(ProductSpaceSpec(l2, l1)), None),
+        (make_product(ProductSpaceSpec(l2, l2xl2)), None),
+    ]
+    for space, p in cases:
+        assert space.linear_p == p, space.description
+    P = np.zeros((2, 3))
+    assert type(l2xl2.make_index(P)) is model_spaces._ProductJointIndex
+    assert type(l3.make_index(P[:, :2])) is model_spaces._KDTreeIndex
 
 
 def test_product_tree_times_line_distances(star3):

@@ -61,6 +61,8 @@ def test_tracer_counts_nearest_queries_and_uninstalls():
     line = make_lp_space(NormedSpaceSpec(1, 2.0))
     square = make_product(ProductSpaceSpec(line, line))
     square_seed = [ProductPoint(euclidean(a), euclidean(b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    plane = make_lp_space(NormedSpaceSpec(2, 2.0))
+    plane_seed = [euclidean(0.0, 0.0), euclidean(1.0, 0.0), euclidean(0.0, 1.0)]
     tree = star_tree(3)
     tree_seed = [tree.point_on_edge(e, 1.0) for e in range(3)]
 
@@ -70,6 +72,7 @@ def test_tracer_counts_nearest_queries_and_uninstalls():
         assert vars(model_spaces._ProductJointIndex)["min_dist"] is not product_nearest
         # through the module: the tracer swaps the lab modules' references
         lab.convexity.hull_closure(square, PointNet.build(square, square_seed, 0.25))
+        lab.convexity.hull_closure(plane, PointNet.build(plane, plane_seed, 0.25))
         lab.convexity.hull_closure(tree, PointNet.build(tree, tree_seed, 0.25))
         P = tree.pack(tree_seed)
         tree.dist_matrix(P, P[:2])
@@ -87,6 +90,10 @@ def test_tracer_counts_nearest_queries_and_uninstalls():
                        (("segment_batch", "tree"), "samples")]:
         assert key in counted, key
         assert sum(c[field] for c in counted[key]) > 0, key
+    # make_index is defined on the base class only, and its spans still
+    # carry the kind of the space they index
+    kinds = {(name, kind) for _, _, name, kind, *_ in tracer.spans}
+    assert {("make_index", "lp"), ("make_index", "product")} <= kinds
     # counted in rows, not in packed array entries
     assert [s[6] for s in tracer.spans[-2:]] == [{"entries": 6}, {"queries": 3}]
     metrics = spans_mod.layer_metrics(tracer.spans, rounds=1)
