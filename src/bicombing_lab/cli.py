@@ -105,6 +105,8 @@ def _cmd_gen(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{name} must be a finite number, got {value}")
+    if args.rng_seed < 0:
+        raise InvalidInputError(f"--rng-seed must be non-negative, got {args.rng_seed}")
     try:
         p = float(args.p)
     except ValueError:
@@ -140,6 +142,8 @@ def _cmd_run(args) -> int:
             raise InvalidInputError(f"--eps must be finite and positive, got {args.eps}")
         params = params.scaled(args.eps / params.eps)
     if args.rng_seed is not None:
+        if args.rng_seed < 0:
+            raise InvalidInputError(f"--rng-seed must be non-negative, got {args.rng_seed}")
         params = replace(params, rng_seed=args.rng_seed)
     if args.max_rounds is not None:
         params = replace(params, max_rounds=args.max_rounds)

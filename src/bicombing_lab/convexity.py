@@ -367,31 +367,13 @@ class _CellCover:
         return self.frame.point(self.lo + (k + 0.5) * self.h)
 
 
-def _pair_blocks(n_old: int, n_total: int, block_pairs: int):
-    """Yield (I, J) index arrays covering the pairs i < j with j >= n_old:
-    every pair when n_old is 0.
-
-    After the first round of a closure only pairs touching newly inserted
-    points need sampling: a sample rejected against an earlier, smaller net
-    stays within eps/2 of the grown net, so old-old pairs can never
-    contribute again.
-    """
-    ranges = [(i, max(i + 1, n_old), n_total) for i in range(n_total)]
-    buf_i: list[np.ndarray] = []
-    buf_j: list[np.ndarray] = []
-    count = 0
-    for i, lo, hi in ranges:
-        if lo >= hi:
-            continue
-        js = np.arange(lo, hi, dtype=np.int64)
-        buf_i.append(np.full(len(js), i, dtype=np.int64))
-        buf_j.append(js)
-        count += len(js)
-        if count >= block_pairs:
-            yield np.concatenate(buf_i), np.concatenate(buf_j)
-            buf_i, buf_j, count = [], [], 0
-    if count:
-        yield np.concatenate(buf_i), np.concatenate(buf_j)
+def _pair_blocks(n: int, per_pair: int, lo: int = 0):
+    """Yield (I, J) index arrays covering the pairs i < j < n with j >= lo in
+    row-major order, at most BLOCK_ENTRIES / per_pair pairs (or one row) each."""
+    cols = np.arange(lo, n)
+    for rows in _row_blocks(n - 1, (n - lo) * per_pair):
+        I, J = np.nonzero(np.arange(n - 1)[rows, None] < cols)
+        yield I + rows.start, J + lo
 
 
 def hull_closure(
@@ -433,7 +415,6 @@ def hull_closure(
     # endpoint samples coincide with stored points and can never be inserted,
     # so only strictly interior parameters are queried
     ts = np.array([k / segment_samples for k in range(1, segment_samples)])
-    block_pairs = max(1, 400_000 // (segment_samples + 1))
     n_old = 0
     cover = _CellCover(space, packed, eps / 2)
 
@@ -446,7 +427,10 @@ def hull_closure(
         index = space.make_index(packed)
         n_total = len(packed)
         survivors = []
-        for I, J in _pair_blocks(n_old, n_total, block_pairs):
+        # after round 1 only pairs touching new points need sampling: a sample
+        # rejected against an earlier, smaller net stays within eps/2 of the
+        # grown net, so old-old pairs can never contribute again
+        for I, J in _pair_blocks(n_total, len(ts), n_old):
             S = space.segment_batch(packed, I, J, ts)
             keep = cover.far_rows(S, index)
             if len(keep):
@@ -469,6 +453,19 @@ def hull_closure(
 # ---------------------------------------------------------------------------
 
 
+def _worst_sample(space: BicombedSpace, net: PointNet, ts: np.ndarray, score):
+    """The first largest score over all pairs of the net, in pair-then-column
+    order, as (score, x, y, column); None on fewer than two points.  score maps
+    a block's ``segment_batch`` samples at ts to one row of floats per pair."""
+    best, at = -math.inf, None
+    for I, J in _pair_blocks(len(net), len(ts)):
+        vals = score(space.segment_batch(net.packed, I, J, ts)).reshape(len(I), -1)
+        r, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[r, k] > best:
+            best, at = float(vals[r, k]), (int(I[r]), int(J[r]), int(k))
+    return None if at is None else (best, net.points[at[0]], net.points[at[1]], at[2])
+
+
 @dataclass(frozen=True)
 class NetWitness:
     x: Point
@@ -477,35 +474,23 @@ class NetWitness:
     dist: float
 
 
-def is_convex_net(
-    space: BicombedSpace, C: PointNet, segment_samples: int = 8
-) -> tuple[bool, NetWitness | None]:
+#: `is_convex_net` samples each segment at k/_CONVEX_SAMPLES, 0 < k < _CONVEX_SAMPLES
+_CONVEX_SAMPLES = 8
+
+
+def is_convex_net(space: BicombedSpace, C: PointNet) -> tuple[bool, NetWitness | None]:
     """Whether every sampled segment between net points stays within eps of the net.
 
     On failure returns the worst witness: the sample farthest from the net.
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
-    ts = np.array([k / segment_samples for k in range(1, segment_samples)])
-    packed = C.packed
-    index = C.index
-    n = len(C)
-    block_pairs = max(1, 400_000 // (segment_samples + 1))
-    worst = None
-    worst_dist = C.eps
-    for I, J in _pair_blocks(0, n, block_pairs):
-        S = space.segment_batch(packed, I, J, ts)
-        dmin = index.min_dist(S).reshape(len(I), len(ts))
-        if dmin.max() > worst_dist:
-            r, k = np.unravel_index(int(np.argmax(dmin)), dmin.shape)
-            worst_dist = float(dmin[r, k])
-            worst = NetWitness(
-                x=C.points[int(I[r])],
-                y=C.points[int(J[r])],
-                t=float(ts[k]),
-                dist=worst_dist,
-            )
-    return worst is None, worst
+    ts = np.arange(1, _CONVEX_SAMPLES) / _CONVEX_SAMPLES
+    worst = _worst_sample(space, C, ts, C.index.min_dist)
+    if worst is None or worst[0] <= C.eps:
+        return True, None
+    dist, x, y, k = worst
+    return False, NetWitness(x=x, y=y, t=float(ts[k]), dist=dist)
 
 
 @dataclass(frozen=True)
@@ -538,42 +523,29 @@ def check_convex_functional(
     if grid < 2:
         raise InvalidInputError("functional-check grid must be >= 2")
     ts = np.array([k / grid for k in range(grid + 1)])
-    packed = domain.packed
-    n = len(domain)
-    worst = -math.inf
-    witness = None
-    block_pairs = max(1, 200_000 // (grid + 1))
-    for I, J in _pair_blocks(0, n, block_pairs):
-        S = space.segment_batch(packed, I, J, ts)
-        vals = np.asarray(phi.evaluate_packed(space, S), dtype=float).reshape(len(I), grid + 1)
-        defects = vals[:, 1:-1] - 0.5 * (vals[:, :-2] + vals[:, 2:])
-        r, k = np.unravel_index(int(np.argmax(defects)), defects.shape)
-        if defects[r, k] > worst:
-            worst = float(defects[r, k])
-            witness = FunctionalWitness(
-                x=domain.points[int(I[r])],
-                y=domain.points[int(J[r])],
-                t=float(ts[k + 1]),
-                defect=worst,
-            )
-    if worst == -math.inf:
-        worst = 0.0
-        witness = None
-    ok = worst <= tol
-    return FunctionalCheck(ok=ok, max_defect=worst, witness=witness if not ok else None)
+
+    def defects(S):
+        vals = np.asarray(phi.evaluate_packed(space, S), dtype=float).reshape(-1, grid + 1)
+        return vals[:, 1:-1] - 0.5 * (vals[:, :-2] + vals[:, 2:])
+
+    worst = _worst_sample(space, domain, ts, defects)
+    if worst is None:
+        return FunctionalCheck(ok=True, max_defect=0.0, witness=None)
+    defect, x, y, k = worst
+    if defect <= tol:
+        return FunctionalCheck(ok=True, max_defect=defect, witness=None)
+    return FunctionalCheck(False, defect, FunctionalWitness(x, y, float(ts[k + 1]), defect))
 
 
 def hausdorff(space: BicombedSpace, A: PointNet, B: PointNet) -> float:
     """Symmetric Hausdorff distance between two stored point sets."""
-    if A.space is not space or B.space is not space:
-        raise InvalidInputError("nets belong to a different space")
-    if not len(A) or not len(B):
-        raise InvalidInputError("Hausdorff distance needs non-empty nets")
-    ab = float(B.index.min_dist(A.packed).max())
-    ba = float(A.index.min_dist(B.packed).max())
-    return max(ab, ba)
+    return max(directed_excess(space, A, B), directed_excess(space, B, A))
 
 
 def directed_excess(space: BicombedSpace, A: PointNet, B: PointNet) -> float:
     """One-sided excess: max over A of the distance into B."""
+    if A.space is not space or B.space is not space:
+        raise InvalidInputError("nets belong to a different space")
+    if not len(A) or not len(B):
+        raise InvalidInputError("Hausdorff distance needs non-empty nets")
     return float(B.index.min_dist(A.packed).max())

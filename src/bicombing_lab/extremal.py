@@ -11,19 +11,15 @@ boundary point of a smooth set would be misclassified.
 
 One chord scan serves is_extremal_point, extremal_points and
 is_extremal_set; its target is a packed set, and a point is a set of one.
-Its candidate step comes from the net's chord finder
-(``BicombedSpace.make_chord_finder``, built once per net) and proposes a
-superset of the chords passing within the hit radius of some target: in lp
-spaces and l^2 x l^2 products, where segments are linear, a chord from x hits
-the ball of a target q at t exactly when its other end lies within eps/t of
-the reflected point (q - (1-t)x)/t, so one ball query per (q, x, t) finds
-them; elsewhere the alignment filter min over q of d(i,q) + d(j,q) <
-d(i,j) + 2*eps over a dense distance matrix does.  Its confirm step evaluates
-every candidate with the space's ``chord_dists``, so verdicts rest only on
-evaluated chords.  Point verdicts confirm candidates lazily, nearest first,
-and test the strict ``< eps``; set verdicts confirm them in row-major pair
-order and test for a crossing, so the witness is the first crossing pair of
-the full pair order.
+Its candidate step, the net's chord finder (``make_chord_finder``), proposes
+a superset of the chords passing within the hit radius of some target: by
+reflected-endpoint ball queries where segments are linear (lp, l^2 x l^2),
+and by the alignment filter d(i,q) + d(j,q) < d(i,j) + 2*eps elsewhere.
+Its confirm step is one loop, `_first_hit`: it evaluates the candidates in
+their order with ``chord_dists``, in doubling batches, and returns the first
+one its test accepts.  A point's test is a sample strictly within eps; a
+set's is a crossing, tried on the candidates in row-major pair order, so the
+witness is the first crossing pair of the full pair order.
 """
 
 from __future__ import annotations
@@ -108,8 +104,30 @@ class ExtremalVerdict:
 
 
 #: pairs in the confirm step's first chord batch; later batches double, up to
-#: a quarter of a distance block of chord entries
+#: a quarter of a distance block of chord entries (lp and hyperbolic chords
+#: also hold sample coordinates and their differences to the targets)
 _FIRST_BATCH = 64
+
+
+def _first_hit(space: BicombedSpace, C: PointNet, blocks, ts: np.ndarray, targets, hit):
+    """Confirm step of every chord scan: the first pair of the (I, J) blocks,
+    in candidate order, that `hit` accepts, as (i, j, dd); None if none is.
+    dd is the pair's row of ``chord_dists`` from its samples at ts to the
+    nearest target, and hit maps a batch of such rows to one bool per pair."""
+    max_batch = max(1, BLOCK_ENTRIES // 4 // (len(ts) * len(targets)))
+    batch = min(_FIRST_BATCH, max_batch)
+    for I, J in blocks:
+        lo = 0
+        while lo < len(I):
+            Ib, Jb = I[lo : lo + batch], J[lo : lo + batch]
+            dd = space.chord_dists(C.packed, Ib, Jb, ts, targets).min(axis=2)
+            found = np.flatnonzero(hit(dd))
+            if len(found):
+                r = found[0]
+                return int(Ib[r]), int(Jb[r]), dd[r]
+            lo += len(Ib)
+            batch = min(2 * batch, max_batch)
+    return None
 
 
 def _first_chord(
@@ -117,28 +135,20 @@ def _first_chord(
 ) -> tuple[int, int, float] | None:
     """The first chord of C found to hit the target ball, as (i, j, t), i < j.
 
-    Endpoints qualify beyond delta.  The net's chord finder proposes a
-    superset of the hitting pairs (candidate step); each candidate is then
-    evaluated with ``chord_dists`` at its own (i, j) and every interior t, and
-    hits when a sample lies strictly within eps (confirm step).  A verdict thus
-    rests only on evaluated chords, never on the candidate arithmetic.
+    Of the pairs with both ends beyond delta that the chord finder proposes,
+    `_first_hit` accepts the first with a sample strictly within eps, so a
+    verdict rests only on evaluated chords, never on the candidate arithmetic.
     """
     elig = np.nonzero(d_to_target > params.delta)[0]
     if len(elig) < 2:
         return None
     ts = params.interior_ts()
-    batch, max_batch = _FIRST_BATCH, max(_FIRST_BATCH, BLOCK_ENTRIES // 4 // len(ts))
-    for I, J in C.chord_finder.candidates(target, d_to_target[:, None], elig, params.eps, ts):
-        lo = 0
-        while lo < len(I):
-            Ib, Jb = I[lo : lo + batch], J[lo : lo + batch]
-            hits = space.chord_dists(C.packed, Ib, Jb, ts, target)[:, :, 0] < params.eps
-            if hits.any():
-                r, k = np.unravel_index(int(np.argmax(hits)), hits.shape)
-                return int(Ib[r]), int(Jb[r]), float(ts[k])
-            lo += batch
-            batch = min(2 * batch, max_batch)
-    return None
+    blocks = C.chord_finder.candidates(target, d_to_target[:, None], elig, params.eps, ts)
+    found = _first_hit(space, C, blocks, ts, target, lambda dd: (dd < params.eps).any(axis=1))
+    if found is None:
+        return None
+    i, j, dd = found
+    return i, j, float(ts[np.argmax(dd < params.eps)])
 
 
 def is_extremal_point(
@@ -244,10 +254,9 @@ def is_extremal_set(
     Runs the chord scan of is_extremal_point with E as its target set and no
     endpoint exclusion: a crossing chord has an interior sample strictly
     within params.eps of E, so the chord finder proposes it.  The proposed
-    pairs are deduplicated into row-major order (i < j) and evaluated with
-    ``chord_dists`` in chunks; the witness is the first crossing pair and its
-    first entry and exit parameters, the same chord a scan of every pair
-    returns.
+    pairs go in row-major order (i < j) through the confirm step; the witness
+    is the first crossing pair with its first entry and exit parameters, the
+    same chord a scan of every pair returns.
     """
     if C.space is not space or E.space is not space:
         raise InvalidInputError("nets belong to a different space")
@@ -267,35 +276,22 @@ def is_extremal_set(
     keys = [I * m + J for I, J in
             C.chord_finder.candidates(E.packed, d_to_E, np.arange(m), r_in, ts_int)]
     # sorted unique keys i*m + j are the pairs in row-major order
-    I_all, J_all = np.divmod(np.unique(np.concatenate([np.empty(0, np.int64), *keys])), m)
-    # a block's chord entries stay within a quarter of a distance block: lp and
-    # hyperbolic chords also hold sample coordinates and their differences to E
-    chunk = max(1, BLOCK_ENTRIES // 4 // (len(ts_full) * len(E)))
-    for lo in range(0, len(I_all), chunk):
-        I, J = I_all[lo : lo + chunk], J_all[lo : lo + chunk]
-        dd = space.chord_dists(C.packed, I, J, ts_full, E.packed).min(axis=2)  # (P, g+2)
+    pairs = np.divmod(np.unique(np.concatenate([np.empty(0, np.int64), *keys])), m)
+
+    def crossings(dd):  # interior parameters within r_in, with exits on both sides
         out = dd > r_out
-        out_before = np.cumsum(out, axis=1) > 0
-        out_after = np.cumsum(out[:, ::-1], axis=1)[:, ::-1] > 0
-        near = dd < r_in
-        crossing = near & np.roll(out_before, 1, axis=1) & np.roll(out_after, -1, axis=1)
-        crossing[:, 0] = False
-        crossing[:, -1] = False
-        bad = np.nonzero(crossing.any(axis=1))[0]
-        if len(bad):
-            r = int(bad[0])
-            k_in = int(np.nonzero(crossing[r])[0][0])
-            k_out = int(np.nonzero(out[r])[0][0])
-            return SetVerdict(
-                extremal=False,
-                witness=ChordWitness(
-                    x=C.points[int(I[r])],
-                    y=C.points[int(J[r])],
-                    t_enter=float(ts_full[k_in]),
-                    t_exit=float(ts_full[k_out]),
-                ),
-            )
-    return SetVerdict(extremal=True, witness=None)
+        before = np.logical_or.accumulate(out, axis=1)[:, :-2]
+        after = np.logical_or.accumulate(out[:, ::-1], axis=1)[:, ::-1][:, 2:]
+        return (dd[:, 1:-1] < r_in) & before & after
+
+    found = _first_hit(space, C, [pairs], ts_full, E.packed,
+                       lambda dd: crossings(dd).any(axis=1))
+    if found is None:
+        return SetVerdict(extremal=True, witness=None)
+    i, j, dd = found
+    t_enter = float(ts_full[1 + np.argmax(crossings(dd[None])[0])])
+    t_exit = float(ts_full[np.argmax(dd > r_out)])
+    return SetVerdict(False, ChordWitness(C.points[i], C.points[j], t_enter, t_exit))
 
 
 #: step cap of the farthest-point descent

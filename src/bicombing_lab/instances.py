@@ -310,6 +310,10 @@ def instance_from_obj(obj: Any) -> InstanceFile:
         raise InstanceFormatError("params.eps: resolutions must be positive")
     if params.delta < params.hit_eps:
         raise InstanceFormatError("params.delta: must be >= params.hit_eps")
+    if params.rng_seed < 0:
+        raise InstanceFormatError("params.rng_seed: must be non-negative")
+    if params.pass_factor <= 0:
+        raise InstanceFormatError("params.pass_factor: must be positive")
     return InstanceFile(space=space_desc, seed_points=pts, params=params)
 
 

@@ -82,6 +82,8 @@ def verify_krein_milman(
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
+    if not (math.isfinite(pass_factor) and pass_factor > 0):
+        raise InvalidInputError(f"pass_factor must be finite and positive, got {pass_factor}")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

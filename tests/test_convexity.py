@@ -42,9 +42,17 @@ from bicombing_lab import (
     make_product,
     star_tree,
 )
-from bicombing_lab.convexity import _CellCover, _greedy_separate, canonical_rows
+from bicombing_lab.convexity import (
+    FunctionalCheck,
+    FunctionalWitness,
+    NetWitness,
+    _CellCover,
+    _greedy_separate,
+    _pair_blocks,
+    canonical_rows,
+)
 from bicombing_lab.instances import build_space, generate_instance
-from bicombing_lab.space_core import BicombedSpace
+from bicombing_lab.space_core import BLOCK_ENTRIES, BicombedSpace
 
 coord = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
 
@@ -214,6 +222,72 @@ def test_hull_queries_under_a_tenth_of_samples(hplane):
     assert 0 < res.queried < res.samples / 10
     # the counts take no part in comparisons
     assert dataclasses.replace(res, samples=0, queried=0) == res
+
+
+# ---------------------------------------------------------------------------
+# pair scans
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 57])
+def test_pair_blocks_are_row_major_upper_triangle(n):
+    per_pair = BLOCK_ENTRIES // 120  # two rows of 57 pairs, at most 120 pairs, per block
+    I_all, J_all = np.triu_indices(n, 1)
+    for lo in sorted({0, 1, n - 1, n} & set(range(n + 1))):
+        blocks = list(_pair_blocks(n, per_pair, lo))
+        assert all(len(I) == len(J) <= 120 for I, J in blocks)
+        I, J = (np.concatenate([np.empty(0, np.int64)] + [b[k] for b in blocks]) for k in (0, 1))
+        assert np.array_equal(I, I_all[J_all >= lo]) and np.array_equal(J, J_all[J_all >= lo])
+    if n == 57:
+        assert len(list(_pair_blocks(n, per_pair))) == 28
+
+
+def _gapped_line(plane):
+    """Integer points 0..389 and 399 on the x-axis of the plane: the samples
+    farthest from the net lie in the gap, on chords from rows in the fourth
+    and fifth pair blocks of a 7-parameter scan (rows 285-379 and 380-389)."""
+    pts = [euclidean(x, 0.0) for x in list(range(390)) + [399]]
+    return PointNet.build(plane, pts, 1.0)
+
+
+def _brute_worst(space, net, ts, score):
+    """Row-major all-pairs scan: the first largest score as (i, j, column, score)."""
+    I, J = np.triu_indices(len(net), 1)
+    vals = score(space.segment_batch(net.packed, I, J, ts)).reshape(len(I), -1)
+    r, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return int(I[r]), int(J[r]), int(k), float(vals[r, k])
+
+
+def test_is_convex_net_witness_matches_all_pairs_scan(plane):
+    C = _gapped_line(plane)
+    ts = np.arange(1, 8) / 8
+    i, j, k, dist = _brute_worst(plane, C, ts, C.index.min_dist)
+    # x = 394 = 359/8 + 7 * 399/8 is 5 from the net; rows 379 and 389 tie
+    assert (i, j, k, dist) == (359, 390, 6, 5.0)
+    ok, witness = is_convex_net(plane, C)
+    assert not ok
+    assert witness == NetWitness(C.points[i], C.points[j], float(ts[k]), dist)
+
+
+def test_check_functional_witness_matches_all_pairs_scan(plane):
+    C = _gapped_line(plane)
+    # the distance to {376, 380} has one concave kink, at 378, with defects
+    # of at most 2; exactly 2 on chords of length 32 with a node at 378, from
+    # rows 348-350 in the ninth block of a 17-parameter scan and 352-356 in
+    # the tenth
+    phi = ConvexFunctional.dist_to_net(
+        PointNet.build(plane, [euclidean(376.0, 0.0), euclidean(380.0, 0.0)], 1.0))
+    ts = np.arange(17) / 16
+
+    def defects(S):
+        vals = phi.evaluate_packed(plane, S).reshape(-1, 17)
+        return vals[:, 1:-1] - 0.5 * (vals[:, :-2] + vals[:, 2:])
+
+    i, j, k, defect = _brute_worst(plane, C, ts, defects)
+    assert (i, j, k, defect) == (348, 380, 14, 2.0)
+    res = check_convex_functional(plane, phi, C, 16, 1e-7)
+    witness = FunctionalWitness(C.points[i], C.points[j], float(ts[k + 1]), defect)
+    assert res == FunctionalCheck(False, defect, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +966,19 @@ def test_hausdorff_examples(plane):
         0.1,
     )
     assert hausdorff(plane, corners, raster) == pytest.approx(math.sqrt(2) / 2, abs=0.02)
+
+
+def test_directed_excess_checks_nets(plane):
+    A = PointNet.build(plane, [euclidean(0, 0)], 0.1)
+    B = PointNet.build(plane, [euclidean(0, 0), euclidean(0, 3)], 0.1)
+    assert (directed_excess(plane, A, B), directed_excess(plane, B, A)) == (0.0, 3.0)
+    l1 = make_lp_space(NormedSpaceSpec(2, 1.0))
+    # a net of l1(R^2) used to give an excess of 1.0 here
+    other = PointNet.build(l1, [euclidean(1, 0)], 0.1)
+    empty = A.take(np.empty(0, dtype=np.int64))
+    for X, Y in [(A, other), (other, A), (A, empty), (empty, A)]:
+        with pytest.raises(InvalidInputError):
+            directed_excess(plane, X, Y)
 
 
 @given(st.lists(st.tuples(coord, coord), min_size=2, max_size=6, unique=True))

@@ -407,6 +407,63 @@ def test_extremal_set_matches_all_pairs_oracle(case):
     assert any(verdicts) and not all(verdicts)
 
 
+def _record_confirm_step(monkeypatch, space, C):
+    """Wrap the net's chord finder and the space's chord_dists: the returned
+    log lists the pair keys i * |C| + j that each yields or evaluates, under
+    "proposed" and "evaluated", by the bytes of the packed targets."""
+    log = {"proposed": {}, "evaluated": {}}
+    candidates, chord_dists = C.chord_finder.candidates, space.chord_dists
+
+    def keep(kind, targets, I, J):
+        log[kind].setdefault(targets.tobytes(), []).append(I * len(C) + J)
+
+    def proposing(target, *args):
+        for I, J in candidates(target, *args):
+            keep("proposed", target, I, J)
+            yield I, J
+
+    def evaluating(packed, I, J, ts, targets):
+        keep("evaluated", targets, I, J)
+        return chord_dists(packed, I, J, ts, targets)
+
+    monkeypatch.setattr(C.chord_finder, "candidates", proposing)
+    monkeypatch.setattr(space, "chord_dists", evaluating)
+    return log
+
+
+@pytest.mark.parametrize("kind", ["square", "hyp_triangle"])
+def test_confirm_step_evaluates_each_candidate_once(kind, monkeypatch):
+    """The confirm step walks its candidates once, in order, however its
+    batches split: per target of a point scan, the evaluated pairs are a
+    prefix of the proposed ones (all of them for a survivor), and a passing
+    face evaluates each proposed pair once, in row-major order."""
+    inst = generate_instance(kind)
+    space = inst.build_space()
+    C = hull_closure(space, inst.seed_net(space)).net
+    params = inst.params.extremal_params()
+    log = _record_confirm_step(monkeypatch, space, C)
+    scan = extremal_points(space, C, params)
+    survivors = {C.packed[r].tobytes() for r in scan.rows}
+    longest = 0
+    for key, blocks in log["proposed"].items():
+        want = np.concatenate(blocks)
+        got = np.concatenate(log["evaluated"].get(key, [want[:0]]))
+        assert np.array_equal(got, want[: len(got)])
+        assert key not in survivors or len(got) == len(want)
+        longest = max(longest, max(map(len, blocks)))
+    assert longest > 3 * 64  # a candidate block spans several doubling batches
+
+    faces = [argmax_face(space, C, phi, params.face_tol) for phi in _default_suite(space, C)]
+    passing = [E for E in faces if is_extremal_set(space, C, E, params).extremal]
+    E = max(passing, key=len)
+    log["proposed"].clear()
+    log["evaluated"].clear()
+    assert is_extremal_set(space, C, E, params).extremal
+    got = np.concatenate(log["evaluated"][E.packed.tobytes()])
+    want = np.unique(np.concatenate(log["proposed"][E.packed.tobytes()]))
+    assert len(want) > 3 * 64 and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # descent
 # ---------------------------------------------------------------------------

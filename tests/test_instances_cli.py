@@ -237,9 +237,9 @@ _NON_FINITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
-def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
-    argv, kind, edit, field = _NON_FINITE_CASES[case]
+def _assert_cli_rejects(argv, kind, edit, field, tmp_path, capsys):
+    """argv exits 2 naming field and writes no file; kind and edit make the
+    instance file, added after the subcommand, as in _NON_FINITE_CASES."""
     if kind is not None:
         obj = instance_to_obj(generate_instance(kind))
         if edit is not None:
@@ -251,6 +251,31 @@ def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
+def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
+    _assert_cli_rejects(*_NON_FINITE_CASES[case], tmp_path, capsys)
+
+
+#: negative seeds, which used to die in np.random.default_rng with a traceback,
+#: and non-positive pass factors, which made verify-km fail on every instance;
+#: laid out as _NON_FINITE_CASES
+_OUT_OF_RANGE_CASES = {
+    "gen-random-seed": (["gen", "random_points", "--rng-seed", "-1"], None, None, "--rng-seed"),
+    "gen-square-seed": (["gen", "square", "--rng-seed", "-3"], None, None, "--rng-seed"),
+    "run-seed": (["paper-checks", "--rng-seed", "-1"], "square", None, "--rng-seed"),
+    "params-seed": (["check-axioms"], "square", _set_param("rng_seed", -5), "params.rng_seed"),
+    "params-pass-factor": (["verify-km"], "square", _set_param("pass_factor", -1.0),
+                           "params.pass_factor"),
+    "params-pass-factor-zero": (["verify-km"], "square", _set_param("pass_factor", 0),
+                                "params.pass_factor"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_CASES))
+def test_cli_rejects_out_of_range_input(case, tmp_path, capsys):
+    _assert_cli_rejects(*_OUT_OF_RANGE_CASES[case], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv, name", [

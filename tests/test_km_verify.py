@@ -11,6 +11,7 @@ import pytest
 from bicombing_lab import (
     ConvexFunctional,
     ExtremalParams,
+    InvalidInputError,
     PointNet,
     euclidean,
     hull_closure,
@@ -55,6 +56,14 @@ def test_km_star_tree(star_hulls):
     assert set(leaves) <= set(nets["extremal"].points)
     # the hull of the extremal points re-covers all three spokes
     assert rep.hausdorff_c_vs_hull_ext <= C.eps
+
+
+@pytest.mark.parametrize("pass_factor", [0.0, -1.0, math.nan, math.inf])
+def test_km_rejects_bad_pass_factor(plane, pass_factor):
+    C = PointNet.build(plane, [euclidean(0.4, 0.4)], 0.1)
+    params = ExtremalParams(eps=0.1, delta=0.1, t_grid=7, face_tol=0.025)
+    with pytest.raises(InvalidInputError, match="pass_factor"):
+        verify_krein_milman(plane, C, params, pass_factor=pass_factor)
 
 
 def test_km_failing_report_keeps_inclusion(plane, square_hull):
