@@ -33,8 +33,8 @@ from .instances import (
     instance_to_obj,
     load_instance,
     point_from_obj,
-    point_to_obj,
     save_instance,
+    to_obj,
 )
 from .km_verify import run_paper_checks, verify_krein_milman
 from .model_spaces import HyperbolicPlane, LpSpace, ProductSpace, TreeSpace
@@ -180,17 +180,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
         rng = np.random.default_rng(inst.params.rng_seed)
         quads = _sample_quadruples(space, seed, rng, 100)
         rep = check_axioms(space, quads, grid=16, tol=space.base_tol)
-        report["result"] = {
-            "pairs_checked": rep.pairs_checked,
-            "grid_size": rep.grid_size,
-            "tolerance": space.base_tol,
-            "max_endpoint_error": rep.max_endpoint_error,
-            "max_idempotence_error": rep.max_idempotence_error,
-            "max_convexity_violation": rep.max_convexity_violation,
-            "max_symmetry_defect": rep.max_symmetry_defect,
-            "worst_witness": _witness_obj(rep.worst_witness),
-            "passed": rep.passed,
-        }
+        report["result"] = to_obj(rep)
         report["passed"] = rep.passed
         return report, rep.passed, {}
 
@@ -207,7 +197,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
     }
 
     if sub == "hull":
-        report["points"] = {"net": [point_to_obj(p) for p in C.points]}
+        report["points"] = {"net": to_obj(C.points)}
         report["passed"] = hull.converged
         return report, hull.converged, {}
 
@@ -216,8 +206,8 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
     if sub == "extremal":
         scan = extremal_points(space, C, params)
         report["points"] = {
-            "net": [point_to_obj(p) for p in C.points],
-            "extremal": [point_to_obj(p) for p in scan.points],
+            "net": to_obj(C.points),
+            "extremal": to_obj(scan.points),
         }
         report["result"] = {
             "extremal_count": len(scan.survivors),
@@ -230,22 +220,11 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
     if sub == "verify-km":
         km, nets = verify_krein_milman(space, C, params, samples, max_rounds,
                                        inst.params.pass_factor)
-        report["result"] = {
-            "net_size": km.net_size,
-            "extremal_count": km.extremal_count,
-            "hull_rounds": km.hull_rounds,
-            "hull_converged": km.hull_converged,
-            "hausdorff_c_vs_hull_ext": km.hausdorff_c_vs_hull_ext,
-            "inclusion_defect": km.inclusion_defect,
-            "eps": km.eps,
-            "pass_factor": km.pass_factor,
-            "diagnostic": km.diagnostic,
-        }
+        report["result"] = to_obj(km, skip=("space_description", "passed", "timings"))
         report["points"] = {
-            "net": [point_to_obj(p) for p in C.points],
-            "extremal": [point_to_obj(p) for p in nets["extremal"].points]
-            if nets["extremal"] else [],
-            "hull_of_extremal": [point_to_obj(p) for p in nets["hull_of_extremal"].points]
+            "net": to_obj(C.points),
+            "extremal": to_obj(nets["extremal"].points) if nets["extremal"] else [],
+            "hull_of_extremal": to_obj(nets["hull_of_extremal"].points)
             if nets["hull_of_extremal"] else [],
         }
         report["passed"] = km.passed
@@ -255,35 +234,7 @@ def _run_pipeline(sub: str, inst: InstanceFile) -> tuple[dict, bool, dict]:
         suite = _default_suite(space, C)
         rep = run_paper_checks(space, C, suite, params, rng_seed=inst.params.rng_seed,
                                segment_samples=samples, max_rounds=max_rounds)
-        report["result"] = {
-            "face_checks": [
-                {
-                    "functional": e.functional,
-                    "status": e.status,
-                    "face_size": e.face_size,
-                    "detail": e.detail,
-                }
-                for e in rep.face_checks
-            ],
-            "dist_check": {
-                "hull_size": rep.dist_check.hull_size,
-                "lipschitz_defect": rep.dist_check.lipschitz_defect,
-                "lipschitz_ok": rep.dist_check.lipschitz_ok,
-                "convexity_defect": rep.dist_check.convexity_defect,
-                "convexity_tol": rep.dist_check.convexity_tol,
-                "convexity_ok": rep.dist_check.convexity_ok,
-            },
-            "descent_checks": [
-                {
-                    "start": e.start_repr,
-                    "iterations": e.iterations,
-                    "trace": list(e.trace),
-                    "trace_non_increasing": e.trace_non_increasing,
-                    "endpoint_extremal": e.endpoint_extremal,
-                }
-                for e in rep.descent_checks
-            ],
-        }
+        report["result"] = to_obj(rep, skip=("passed",))
         report["passed"] = rep.passed
         return report, rep.passed, {}
 
@@ -314,21 +265,6 @@ def _default_suite(space, C: PointNet) -> list:
             suite.append(ConvexFunctional.linear(coeffs))
         suite.append(ConvexFunctional.linear([1.0 / math.sqrt(space.n)] * space.n))
     return suite
-
-
-def _witness_obj(w):
-    if w is None:
-        return None
-    return {
-        "x": point_to_obj(w.x),
-        "y": point_to_obj(w.y),
-        "x2": point_to_obj(w.x2),
-        "y2": point_to_obj(w.y2),
-        "t_prev": w.t_prev,
-        "t_mid": w.t_mid,
-        "t_next": w.t_next,
-        "defect": w.defect,
-    }
 
 
 # ---------------------------------------------------------------------------

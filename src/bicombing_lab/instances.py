@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -232,26 +232,28 @@ def point_from_obj(obj: Any, path: str = "point") -> Point:
 # File round trip
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = (
-    "eps",
-    "hit_eps",
-    "delta",
-    "face_tol",
-    "t_grid",
-    "segment_samples",
-    "max_rounds",
-    "rng_seed",
-    "pass_factor",
-)
-
-
 def instance_to_obj(inst: InstanceFile) -> dict:
     return {
         "format": inst.format,
         "space": inst.space,
         "seed_points": [point_to_obj(p) for p in inst.seed_points],
-        "params": {k: getattr(inst.params, k) for k in _PARAM_FIELDS},
+        "params": to_obj(inst.params),
     }
+
+
+def to_obj(value: Any, skip: tuple[str, ...] = ()) -> Any:
+    """Report form of a result: a point as ``point_to_obj``, a dataclass as
+    its fields in declaration order less ``skip``, a tuple as a list, each
+    converted recursively; any other value unchanged (numpy scalars are left
+    to ``dumps_canonical``)."""
+    if isinstance(value, Point):  # points are dataclasses too, tagged by kind
+        return point_to_obj(value)
+    if is_dataclass(value):
+        return {f.name: to_obj(getattr(value, f.name))
+                for f in fields(value) if f.name not in skip}
+    if isinstance(value, tuple):
+        return [to_obj(v) for v in value]
+    return value
 
 
 def _json_default(o):
@@ -293,13 +295,15 @@ def instance_from_obj(obj: Any) -> InstanceFile:
     raw_params = obj.get("params")
     if not isinstance(raw_params, dict):
         raise InstanceFormatError("params: expected an object")
-    _reject_unknown(raw_params, set(_PARAM_FIELDS), "params")
+    param_fields = fields(InstanceParams)
+    _reject_unknown(raw_params, {f.name for f in param_fields}, "params")
     kwargs = {}
-    for k in _PARAM_FIELDS:
+    for f in param_fields:
+        k = f.name
         if k not in raw_params:
             raise InstanceFormatError(f"params.{k}: missing")
         v = raw_params[k]
-        if k in ("t_grid", "segment_samples", "max_rounds", "rng_seed"):
+        if f.type == "int":
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InstanceFormatError(f"params.{k}: expected an integer")
         elif not isinstance(v, (int, float)) or isinstance(v, bool) or not _finite(v):
@@ -347,6 +351,8 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
     for name, value in (("step", step), ("eps", eps), ("side", side)):
         if value is not None and not value > 0:
             raise InvalidInputError(f"{name} must be positive, got {value}")
+    if rng_seed < 0:
+        raise InvalidInputError(f"rng_seed must be non-negative, got {rng_seed}")
     if kind == "square":
         space = make_lp_space(NormedSpaceSpec(2, 2.0))
         pts = [euclidean(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]

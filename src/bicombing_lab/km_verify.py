@@ -153,13 +153,13 @@ class DistanceSetCheck:
     lipschitz_defect: float
     lipschitz_ok: bool
     convexity_defect: float
-    convexity_ok: bool
     convexity_tol: float
+    convexity_ok: bool
 
 
 @dataclass(frozen=True)
 class DescentCheckEntry:
-    start_repr: str
+    start: str
     iterations: int
     trace: tuple[int, ...]
     trace_non_increasing: bool
@@ -195,6 +195,8 @@ def run_paper_checks(
     random subset, sample domain) are rows of C, and segment_samples and
     max_rounds go to the closure of the random subset.
     """
+    if rng_seed < 0:
+        raise InvalidInputError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     m = len(C)
 
@@ -248,8 +250,8 @@ def run_paper_checks(
         lipschitz_defect=lip_defect,
         lipschitz_ok=lip_ok,
         convexity_defect=conv.max_defect,
-        convexity_ok=conv.ok,
         convexity_tol=conv_tol,
+        convexity_ok=conv.ok,
     )
 
     # descent checks
@@ -260,7 +262,7 @@ def run_paper_checks(
         endpoint_ok = is_extremal_point(space, C, res.point, params).extremal
         descent_entries.append(
             DescentCheckEntry(
-                start_repr=repr(start),
+                start=repr(start),
                 iterations=res.iterations,
                 trace=res.trace,
                 trace_non_increasing=non_inc,

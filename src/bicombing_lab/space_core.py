@@ -451,10 +451,12 @@ class ConvexityWitness:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the segment-map axiom check over sampled quadruples."""
+    """Outcome of the segment-map axiom check over sampled quadruples;
+    tolerance is the tol the verdict was taken at."""
 
     pairs_checked: int
     grid_size: int
+    tolerance: float
     max_endpoint_error: float
     max_idempotence_error: float
     max_convexity_violation: float
@@ -489,7 +491,7 @@ def check_axioms(
     if grid < 2:
         raise InvalidInputError("axiom-check grid must be >= 2")
     if not pairs:
-        return AxiomReport(0, grid, 0.0, 0.0, 0.0, 0.0, None, True)
+        return AxiomReport(0, grid, tol, 0.0, 0.0, 0.0, 0.0, None, True)
     for quad in pairs:
         for p in quad:
             space.validate_point(p)
@@ -525,6 +527,7 @@ def check_axioms(
     return AxiomReport(
         pairs_checked=len(pairs),
         grid_size=grid,
+        tolerance=tol,
         max_endpoint_error=float(max_endpoint),
         max_idempotence_error=float(max_idem),
         max_convexity_violation=max_conv,

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bicombing_lab import InvalidInputError
+from bicombing_lab import (
+    ConvexityWitness,
+    InvalidInputError,
+    ProductPoint,
+    TreePoint,
+    euclidean,
+    hyperboloid,
+)
 from bicombing_lab.cli import main
 from bicombing_lab.instances import (
     GEN_KINDS,
@@ -21,8 +29,11 @@ from bicombing_lab.instances import (
     instance_from_obj,
     instance_to_obj,
     load_instance,
+    point_to_obj,
     save_instance,
+    to_obj,
 )
+from bicombing_lab.km_verify import DescentCheckEntry
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +65,31 @@ def test_random_points_deterministic():
     assert dumps_canonical(instance_to_obj(a)) == dumps_canonical(instance_to_obj(b))
     c = generate_instance("random_points", n=20, dim=3, rng_seed=8)
     assert dumps_canonical(instance_to_obj(c)) != dumps_canonical(instance_to_obj(a))
+
+
+@pytest.mark.parametrize("kind", GEN_KINDS)
+def test_generate_rejects_negative_seed(kind):
+    with pytest.raises(InvalidInputError, match="rng_seed"):
+        generate_instance(kind, rng_seed=-1)
+
+
+def test_to_obj_writes_fields_in_declaration_order():
+    witness = ConvexityWitness(euclidean(0, 1), hyperboloid(1, 0, 0), TreePoint(2, 0.5),
+                               ProductPoint(euclidean(1), euclidean(2)), 0.25, 0.5, 0.75,
+                               np.float64(0.125))
+    obj = to_obj(witness, skip=("y2", "t_next"))
+    assert list(obj) == ["x", "y", "x2", "t_prev", "t_mid", "defect"]
+    assert obj["x"] == point_to_obj(witness.x) == {"kind": "euclidean", "coords": [0.0, 1.0]}
+    assert obj["y"]["kind"] == "hyperboloid"
+    assert obj["x2"] == {"kind": "tree", "edge": 2, "offset": 0.5}
+    assert type(obj["defect"]) is np.float64  # numpy scalars are left to dumps_canonical
+    entry = DescentCheckEntry(start="p", iterations=2, trace=(5, 3, 1),
+                              trace_non_increasing=True, endpoint_extremal=False)
+    assert to_obj(entry) == {"start": "p", "iterations": 2, "trace": [5, 3, 1],
+                             "trace_non_increasing": True, "endpoint_extremal": False}
+    assert to_obj((witness.x, None, "s")) == [point_to_obj(witness.x), None, "s"]
+    params = InstanceParams(eps=0.1, hit_eps=0.1, delta=0.2, face_tol=0.025)
+    assert list(to_obj(params)) == [f.name for f in dataclasses.fields(InstanceParams)]
 
 
 def test_unknown_fields_rejected():

@@ -66,6 +66,12 @@ def test_km_rejects_bad_pass_factor(plane, pass_factor):
         verify_krein_milman(plane, C, params, pass_factor=pass_factor)
 
 
+def test_paper_checks_rejects_negative_seed(plane, square_hull):
+    params = ExtremalParams.defaults(square_hull)
+    with pytest.raises(InvalidInputError, match="rng_seed"):
+        run_paper_checks(plane, square_hull, [], params, rng_seed=-1)
+
+
 def test_km_failing_report_keeps_inclusion(plane, square_hull):
     params = ExtremalParams.defaults(square_hull)
     rep, _ = verify_krein_milman(plane, square_hull, params, pass_factor=1e-6)

@@ -34,7 +34,7 @@ from bicombing_lab import (
     model_spaces,
     star_tree,
 )
-from bicombing_lab.space_core import BLOCK_ENTRIES
+from bicombing_lab.space_core import BLOCK_ENTRIES, BicombedSpace
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +433,35 @@ def test_tree_min_dist_spans_row_blocks(random_tree):
     columns = len(np.unique(np.concatenate([tree._tail[edge], tree._head[edge]])))
     assert len(A) > 2 * (BLOCK_ENTRIES // columns)
     _assert_dense_row_minima(tree, A, B)
+
+
+def test_tree_chord_dists_match_dense_route(nearest_tree):
+    # the Gromov-product route against the base class's dense route (segment
+    # samples, then dist_matrix to the targets): the two round differently,
+    # so they agree within 1e-12, not bit for bit.  Chords include x == y,
+    # chords inside one edge and chords ending at targets
+    tree = nearest_tree
+    rng = np.random.default_rng(26)
+    pts = _tree_points(tree, 80, seed=27)
+    first = len(pts)
+    for e in rng.choice(len(tree.edges), min(4, len(tree.edges)), replace=False):
+        w = tree.edges[e][2]
+        pts += [tree.point_on_edge(int(e), f * w) for f in (0.2, 0.5, 0.9)]
+    I = rng.integers(0, len(pts), 2000)
+    J = rng.integers(0, len(pts), 2000)
+    J[:50] = I[:50]
+    same_edge = [(i, j) for i in range(first, len(pts)) for j in range(first, len(pts))
+                 if i != j and pts[i].edge == pts[j].edge]
+    assert len(same_edge) == 6 * min(4, len(tree.edges))
+    I = np.concatenate([I, [i for i, _ in same_edge]])
+    J = np.concatenate([J, [j for _, j in same_edge]])
+    P = tree.pack(pts)
+    T = tree.pack(_tree_points(tree, 40, seed=28) + pts[::10])
+    ts = np.arange(9) / 8
+    got = tree.chord_dists(P, I, J, ts, T)
+    want = BicombedSpace.chord_dists(tree, P, I, J, ts, T)
+    assert got.shape == want.shape == (len(I), len(ts), len(T))
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_tree_first_leg_segment_stays_on_edge():

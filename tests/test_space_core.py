@@ -213,7 +213,7 @@ def test_check_axioms_witness_is_first_largest_defect():
     # below tol nothing is reported as a witness
     assert check_axioms(broken, [a], grid=16, tol=1.0).worst_witness is None
     empty = check_axioms(broken, [], grid=16, tol=1e-9)
-    assert empty == AxiomReport(0, 16, 0.0, 0.0, 0.0, 0.0, None, True)
+    assert empty == AxiomReport(0, 16, 1e-9, 0.0, 0.0, 0.0, 0.0, None, True)
 
 
 def test_check_axioms_measures_idempotence_on_the_kernel():
