@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,95 +94,79 @@ class PointNet:
 
 @dataclass(frozen=True)
 class ConvexFunctional:
-    """Real-valued map on points: distance to an anchor, distance to a net's
-    stored points, distance to the convex hull of a net's stored points, a
-    linear functional (coordinate spaces only), or a constant.
+    """Real-valued map on points, as a label and a map from a space's packed
+    rows to values: distance to an anchor, distance to a net's stored points,
+    distance to the convex hull of a net's stored points, a linear functional
+    (coordinate spaces only), a constant, or a multiple of one of these.
 
     ``dist_to_hull`` is exactly convex along segments (the distance to a convex
     set is).  ``dist_to_net`` is a minimum over finitely many points and is
     convex only up to kinks of the order of the net spacing; it exceeds
     ``dist_to_hull`` by at most how far the net is from covering its hull.
-    ``dist_to_hull`` needs a space with an exact hull route (see
-    ``BicombedSpace.hull_dist``) and raises InvalidInputError elsewhere.
+    Both measure in the net's own space.  ``dist_to_hull`` needs a space with
+    an exact hull route (see ``BicombedSpace.hull_dist``) and raises
+    InvalidInputError elsewhere.
     """
 
-    kind: str
-    anchor: Point | None = None
-    target: PointNet | None = None
-    coefficients: tuple[float, ...] | None = None
-    value: float = 0.0
+    name: str
+    map: Callable[[BicombedSpace, np.ndarray], np.ndarray] = field(repr=False)
 
     @staticmethod
     def dist_to_point(anchor: Point) -> "ConvexFunctional":
-        return ConvexFunctional(kind="dist_to_point", anchor=anchor)
+        return ConvexFunctional(
+            "dist_to_point", lambda space, packed: space.dist_matrix(space.pack([anchor]), packed)[0])
 
     @staticmethod
     def dist_to_net(target: PointNet) -> "ConvexFunctional":
-        return ConvexFunctional(kind="dist_to_net", target=target)
+        return _dist_to_set("dist_to_net", target, "min_dist")
 
     @staticmethod
     def dist_to_hull(target: PointNet) -> "ConvexFunctional":
-        return ConvexFunctional(kind="dist_to_hull", target=target)
+        return _dist_to_set("dist_to_hull", target, "hull_dist")
 
     @staticmethod
     def linear(coefficients: Sequence[float]) -> "ConvexFunctional":
-        return ConvexFunctional(kind="linear", coefficients=tuple(float(c) for c in coefficients))
+        coefficients = tuple(float(c) for c in coefficients)
 
-    @staticmethod
-    def constant(value: float) -> "ConvexFunctional":
-        return ConvexFunctional(kind="constant", value=float(value))
-
-    def scaled(self, factor: float) -> "_ScaledFunctional":
-        """Same functional scaled by a constant (negative factors break convexity)."""
-        return _ScaledFunctional(self, factor)
-
-    def label(self) -> str:
-        if self.kind == "linear":
-            return f"linear{self.coefficients}"
-        if self.kind == "constant":
-            return f"constant({self.value})"
-        return self.kind
-
-    def evaluate(self, space: BicombedSpace, p: Point) -> float:
-        return float(self.evaluate_packed(space, space.pack([p]))[0])
-
-    def evaluate_packed(self, space: BicombedSpace, packed) -> np.ndarray:
-        if self.kind == "dist_to_point":
-            return space.dist_matrix(space.pack([self.anchor]), packed)[0]
-        if self.kind in ("dist_to_net", "dist_to_hull"):
-            if self.target is None or not len(self.target):
-                raise InvalidInputError(f"{self.kind} functional needs a non-empty net")
-            target_space = self.target.space
-            to_set = target_space.min_dist if self.kind == "dist_to_net" else target_space.hull_dist
-            return to_set(packed, self.target.packed)
-        if self.kind == "linear":
+        def linear_map(space, packed):
             if not space.coordinate_rows:
                 raise InvalidInputError(
                     f"linear functionals need coordinate points, not points of {space.description}")
-            if packed.shape[1] != len(self.coefficients):
+            if packed.shape[1] != len(coefficients):
                 raise InvalidInputError("linear functionals require matching coordinate points")
-            return packed @ np.asarray(self.coefficients)
-        if self.kind == "constant":
-            return np.full(len(packed), self.value)
-        raise InvalidInputError(f"unknown functional kind {self.kind!r}")
+            return packed @ np.asarray(coefficients)
 
+        return ConvexFunctional(f"linear{coefficients}", linear_map)
 
-class _ScaledFunctional:
-    """Wrapper multiplying a functional by a constant; used for negative controls."""
+    @staticmethod
+    def constant(value: float) -> "ConvexFunctional":
+        value = float(value)
+        return ConvexFunctional(f"constant({value})", lambda space, packed: np.full(len(packed), value))
 
-    def __init__(self, base: ConvexFunctional, factor: float):
-        self.base = base
-        self.factor = factor
-        self.kind = f"{factor}*{base.kind}"
+    def scaled(self, factor: float) -> "ConvexFunctional":
+        """Same functional scaled by a constant (negative factors break convexity)."""
+        return ConvexFunctional(f"{factor}*{self.name}",
+                                lambda space, packed: factor * self.map(space, packed))
 
     def label(self) -> str:
-        return f"{self.factor}*{self.base.label()}"
+        return self.name
 
-    def evaluate(self, space, p):
-        return self.factor * self.base.evaluate(space, p)
+    def evaluate(self, space: BicombedSpace, p: Point) -> float:
+        return float(self.map(space, space.pack([p]))[0])
 
-    def evaluate_packed(self, space, packed):
-        return self.factor * self.base.evaluate_packed(space, packed)
+    def evaluate_packed(self, space: BicombedSpace, packed) -> np.ndarray:
+        return self.map(space, packed)
+
+
+def _dist_to_set(name: str, target: PointNet | None, method: str) -> ConvexFunctional:
+    """Distance from packed rows to the target net, by its space's ``method``."""
+
+    def to_set(space, packed):
+        if target is None or not len(target):
+            raise InvalidInputError(f"{name} functional needs a non-empty net")
+        return getattr(target.space, method)(packed, target.packed)
+
+    return ConvexFunctional(name, to_set)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,14 @@ def instance_from_obj(obj: Any) -> InstanceFile:
         raise InstanceFormatError("params.eps: resolutions must be positive")
     if params.delta < params.hit_eps:
         raise InstanceFormatError("params.delta: must be >= params.hit_eps")
+    if params.face_tol <= 0:
+        raise InstanceFormatError("params.face_tol: must be positive")
+    if params.t_grid < 3:
+        raise InstanceFormatError("params.t_grid: must be >= 3")
+    if params.segment_samples < 2:
+        raise InstanceFormatError("params.segment_samples: must be >= 2")
+    if params.max_rounds < 1:
+        raise InstanceFormatError("params.max_rounds: must be >= 1")
     if params.rng_seed < 0:
         raise InstanceFormatError("params.rng_seed: must be non-negative")
     if params.pass_factor <= 0:

@@ -17,7 +17,6 @@ from .convexity import (
     PointNet,
     check_convex_functional,
     directed_excess,
-    hausdorff,
     hull_closure,
 )
 from .extremal import (
@@ -90,48 +89,35 @@ def verify_krein_milman(
     scan = extremal_points(space, C, params)
     timings["extremal_s"] = time.perf_counter() - t0
 
-    if scan.is_empty:
-        report = KMReport(
-            space_description=space.description,
-            net_size=len(C),
-            extremal_count=0,
-            hull_rounds=0,
-            hull_converged=False,
-            hausdorff_c_vs_hull_ext=math.inf,
-            inclusion_defect=0.0,
-            eps=C.eps,
-            pass_factor=pass_factor,
-            passed=False,
-            diagnostic=scan.diagnostic,
-            timings=timings,
-        )
-        return report, {"extremal": None, "hull_of_extremal": None}
+    ext_net = hull = None
+    gap, inclusion, diagnostic = math.inf, 0.0, scan.diagnostic
+    if not scan.is_empty:
+        ext_net = scan.net()
+        t0 = time.perf_counter()
+        hull = hull_closure(space, ext_net, segment_samples, max_rounds)
+        timings["hull_s"] = time.perf_counter() - t0
 
-    ext_net = scan.net()
-    t0 = time.perf_counter()
-    hull = hull_closure(space, ext_net, segment_samples, max_rounds)
-    timings["hull_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    gap = hausdorff(space, C, hull.net)
-    inclusion = directed_excess(space, hull.net, C)
-    timings["hausdorff_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        inclusion = directed_excess(space, hull.net, C)
+        gap = max(directed_excess(space, C, hull.net), inclusion)
+        timings["hausdorff_s"] = time.perf_counter() - t0
+        diagnostic = None if hull.converged else "hull of extremal points did not converge"
 
     report = KMReport(
         space_description=space.description,
         net_size=len(C),
-        extremal_count=len(ext_net),
-        hull_rounds=hull.rounds,
-        hull_converged=hull.converged,
+        extremal_count=0 if ext_net is None else len(ext_net),
+        hull_rounds=0 if hull is None else hull.rounds,
+        hull_converged=hull is not None and hull.converged,
         hausdorff_c_vs_hull_ext=gap,
         inclusion_defect=inclusion,
         eps=C.eps,
         pass_factor=pass_factor,
         passed=gap <= pass_factor * C.eps,
-        diagnostic=None if hull.converged else "hull of extremal points did not converge",
+        diagnostic=diagnostic,
         timings=timings,
     )
-    return report, {"extremal": ext_net, "hull_of_extremal": hull.net}
+    return report, {"extremal": ext_net, "hull_of_extremal": None if hull is None else hull.net}
 
 
 # ---------------------------------------------------------------------------

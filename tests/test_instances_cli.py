@@ -295,8 +295,10 @@ def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
 
 
 #: negative seeds, which used to die in np.random.default_rng with a traceback,
-#: and non-positive pass factors, which made verify-km fail on every instance;
-#: laid out as _NON_FINITE_CASES
+#: non-positive pass factors, which made verify-km fail on every instance, and
+#: t grids, face bands, segment samples and round limits that `hull` accepted
+#: and later stages rejected without the field's path; laid out as
+#: _NON_FINITE_CASES
 _OUT_OF_RANGE_CASES = {
     "gen-random-seed": (["gen", "random_points", "--rng-seed", "-1"], None, None, "--rng-seed"),
     "gen-square-seed": (["gen", "square", "--rng-seed", "-3"], None, None, "--rng-seed"),
@@ -306,6 +308,11 @@ _OUT_OF_RANGE_CASES = {
                            "params.pass_factor"),
     "params-pass-factor-zero": (["verify-km"], "square", _set_param("pass_factor", 0),
                                 "params.pass_factor"),
+    "params-t-grid": (["hull"], "square", _set_param("t_grid", 2), "params.t_grid"),
+    "params-face-tol": (["hull"], "square", _set_param("face_tol", 0), "params.face_tol"),
+    "params-segment-samples": (["hull"], "square", _set_param("segment_samples", 1),
+                               "params.segment_samples"),
+    "params-max-rounds": (["hull"], "square", _set_param("max_rounds", 0), "params.max_rounds"),
 }
 
 

@@ -116,6 +116,26 @@ def test_paper_checks_concave_control_inapplicable(plane, square_hull):
     assert "not convex" in rep.face_checks[0].detail
 
 
+def test_functional_labels(plane, square_hull):
+    """Reports carry these labels in face_checks[].functional."""
+    labels = [
+        ConvexFunctional.dist_to_point(euclidean(0.5, 0.5)).label(),
+        ConvexFunctional.dist_to_net(square_hull).label(),
+        ConvexFunctional.dist_to_hull(square_hull).label(),
+        ConvexFunctional.linear([1, -0.5]).label(),
+        ConvexFunctional.constant(2.5).label(),
+        ConvexFunctional.dist_to_point(euclidean(0.5, 0.5)).scaled(-1.0).label(),
+        ConvexFunctional.linear([1.0 / math.sqrt(2)] * 2).scaled(2).label(),
+    ]
+    assert labels == [
+        "dist_to_point", "dist_to_net", "dist_to_hull", "linear(1.0, -0.5)", "constant(2.5)",
+        "-1.0*dist_to_point", "2*linear(0.7071067811865475, 0.7071067811865475)",
+    ]
+    suite = [ConvexFunctional.dist_to_point(euclidean(0.5, 0.5)).scaled(-1.0)]
+    rep = run_paper_checks(plane, square_hull, suite, ExtremalParams.defaults(square_hull))
+    assert rep.face_checks[0].functional == "-1.0*dist_to_point"
+
+
 def test_paper_checks_hyperbolic(hplane, hyp_triangle_hull, hyp_params):
     C, verts = hyp_triangle_hull
     suite = [ConvexFunctional.dist_to_point(v) for v in verts]

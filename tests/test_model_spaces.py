@@ -204,6 +204,14 @@ def test_tree_rejects_bad_specs():
     for w in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError):
             make_metric_tree(MetricTreeSpec(("a", "b"), (("a", "b", w),)))
+    # |edges| = |nodes| - 1, yet the edges leave a node out
+    for edges in ((("a", "b"), ("b", "a"), ("c", "d")),
+                  (("a", "b"), ("a", "b"), ("c", "d")),
+                  (("a", "a"), ("b", "c"), ("c", "d")),
+                  (("a", "b"), ("b", "c"), ("c", "a"))):
+        with pytest.raises(InvalidInputError, match="does not connect"):
+            make_metric_tree(MetricTreeSpec(("a", "b", "c", "d"),
+                                            tuple((u, v, 1.0) for u, v in edges)))
 
 
 def test_tree_axioms():
@@ -545,13 +553,24 @@ def test_product_of_lines_matches_plane(plane, product_space):
         assert dp == pytest.approx(d2, abs=1e-14)
 
 
-@pytest.mark.parametrize("case", ["l1", "l2", "linf", "l2xl2"])
+@pytest.mark.parametrize("case", ["l1", "l2", "linf", "l2xl2", "hyperbolic", "hyperbolic_boosted"])
 def test_min_dist_is_dense_row_minima(case):
     """min_dist(A, B) is dist_matrix(A, B).min(axis=1), bit for bit, over
-    queries spanning two row blocks."""
+    queries spanning two row blocks.  On the hyperbolic plane half of the
+    queries are targets moved by about 1e-6 and lifted back onto the sheet,
+    so their rows take the near-tie refinement."""
     rng = np.random.default_rng(12)
     A, B = rng.uniform(-1, 1, (700, 3)), rng.uniform(-1, 1, (500, 3))
-    if case == "l2xl2":
+    if case.startswith("hyperbolic"):
+        space = make_hyperbolic_plane()
+        r, theta = rng.uniform(0, 3, 1200), rng.uniform(0, 2 * math.pi, 1200)
+        P = space.pack([hyperbolic_point_at(*rt) for rt in zip(r, theta)])
+        if case == "hyperbolic_boosted":
+            P = P @ lorentz_boost(3.0).T
+        A, B = P[:600].copy(), P[600:]
+        X = B[:300, 1:] + 1e-6 * rng.standard_normal((300, 2))
+        A[:300] = np.column_stack([np.sqrt(1.0 + (X * X).sum(axis=1)), X])
+    elif case == "l2xl2":
         space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(2, 2.0)),
                                               make_lp_space(NormedSpaceSpec(1, 2.0))))
     else:
