@@ -146,6 +146,8 @@ def _cmd_run(args) -> int:
             raise InvalidInputError(f"--rng-seed must be non-negative, got {args.rng_seed}")
         params = replace(params, rng_seed=args.rng_seed)
     if args.max_rounds is not None:
+        if args.max_rounds < 1:
+            raise InvalidInputError(f"--max-rounds must be >= 1, got {args.max_rounds}")
         params = replace(params, max_rounds=args.max_rounds)
     inst = replace(inst, params=params)
 

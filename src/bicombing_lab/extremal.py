@@ -20,6 +20,11 @@ their order with ``chord_dists``, in doubling batches, and returns the first
 one its test accepts.  A point's test is a sample strictly within eps; a
 set's is a crossing, tried on the candidates in row-major pair order, so the
 witness is the first crossing pair of the full pair order.
+
+extremal_points runs that scan only on the points a batched first pass
+(`_first_pass`) leaves alive.  The pass tries a few chords per point at once,
+fitted from the net's distance rows, and kills a point only on a chord the
+scan would accept too, so the survivors are those of the scan alone.
 """
 
 from __future__ import annotations
@@ -181,11 +186,13 @@ def is_extremal_point(
 class ExtremalScan:
     """Batch extremal detection outcome: the rows of the scanned net that
     survive, and their sub-net, taken once.  Empty results carry a diagnostic
-    instead of raising, since emptiness signals a discretization failure."""
+    instead of raising, since emptiness signals a discretization failure.
+    pass_killed counts the targets the first pass killed; no report holds it."""
 
     rows: np.ndarray
     survivors: PointNet
     diagnostic: str | None
+    pass_killed: int
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -201,21 +208,84 @@ class ExtremalScan:
         return self.survivors
 
 
+#: x's tried per target by the first pass
+_PASS_XS = 4
+#: relative margin by which the first pass's tests are stricter than the
+#: scan's: both chord ends beyond delta (1 + band), a sample within
+#: eps (1 - band).  It dwarfs the rounding in which the two differ (the
+#: hyperbolic Gram block, the tree's Gromov-product chord distances)
+_PASS_BAND = 1e-9
+
+
+def _first_pass(space: BicombedSpace, C: PointNet, params: ExtremalParams) -> np.ndarray:
+    """Mask of the stored points that one batched sweep proves non-extremal.
+
+    Each target q tries one chord per (x, t): x among the _PASS_XS eligible
+    rows nearest q, t >= 1/2 on the grid, and y the eligible row whose
+    distances best fit q = [x, y](t), the y minimising
+    |t d(x,y) - d(x,q)| + |t d(q,y) - (1-t) d(x,q)|.  Every such chord is
+    evaluated at every interior t, with its ends in stored order as the scan
+    evaluates it.  A kill is a chord the scan counts as eligible and hitting
+    (by _PASS_BAND), and its chord finder proposes every such chord, so the
+    scan would kill q as well: no survivor moves.
+    """
+    P, m = C.packed, len(C)
+    ts = params.interior_ts()
+    far = params.delta * (1.0 + _PASS_BAND)
+    k = min(_PASS_XS, m)
+    killed = np.zeros(m, dtype=bool)
+    per_block = max(1, BLOCK_ENTRIES // 4 // max(m * k, 1))
+    for lo in range(0, m, per_block):
+        Q = np.arange(lo, min(lo + per_block, m))
+        Dq = space.dist_matrix(P[Q], P)
+        elig = Dq > far
+        xs = np.argpartition(np.where(elig, Dq, np.inf), k - 1, axis=1)[:, :k]
+        ux, inv = np.unique(xs, return_inverse=True)
+        DX = space.dist_matrix(P[ux], P)[inv.ravel()].reshape(len(Q), k, m)
+        dxq = np.take_along_axis(Dq, xs, axis=1)[:, :, None]
+        barred = np.where(elig, 0.0, np.inf)[:, None, :]
+        score, fit = np.empty_like(DX), np.empty_like(DX)
+        ys = []
+        for t in ts[ts >= 0.5]:
+            np.multiply(DX, t, out=score)
+            score -= dxq
+            np.abs(score, out=score)
+            np.multiply(Dq[:, None, :], t, out=fit)
+            fit -= (1.0 - t) * dxq
+            np.abs(fit, out=fit)
+            score += fit
+            score += barred
+            ys.append(score.argmin(axis=2))
+        X, Y = np.broadcast_arrays(xs[:, :, None], np.stack(ys, axis=2))
+        keep = np.take_along_axis(elig, xs, axis=1)[:, :, None] & (X != Y)
+        qs = np.broadcast_to(Q[:, None, None], X.shape)[keep]
+        I, J = np.minimum(X, Y)[keep], np.maximum(X, Y)[keep]
+        S = space.segment_batch(P, I, J, ts)
+        d = space.paired_dist(S, P[np.repeat(qs, len(ts))]).reshape(len(I), len(ts))
+        killed[qs[(d < params.eps * (1.0 - _PASS_BAND)).any(axis=1)]] = True
+    return killed
+
+
 def extremal_points(
     space: BicombedSpace, C: PointNet, params: ExtremalParams
 ) -> ExtremalScan:
     """All stored points of C passing the chord-crossing extremality test.
 
-    Every stored point is scanned as is_extremal_point scans a query point,
-    through the net's one chord finder.  In lp spaces and l^2 x l^2 products
-    its candidate step is one reflected-endpoint ball query per (x, t); in
-    every other space it is the alignment filter over one dense distance
-    matrix of C.  A point survives when no candidate chord confirms.
+    First one batched pass over every stored point (`_first_pass`) kills the
+    points it finds a hitting chord for, a few fitted chords per point.  Each
+    point it leaves alive is then scanned as is_extremal_point scans a query
+    point, through the net's one chord finder.  In lp spaces and l^2 x l^2
+    products its candidate step is one reflected-endpoint ball query per
+    (x, t); in every other space it is the alignment filter over one dense
+    distance matrix of C.  A point survives when no candidate chord confirms.
+    The pass kills only points the full scan kills too, so the survivors are
+    those of the full scan alone.
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
+    killed = _first_pass(space, C, params)
     rows = []
-    for pi in range(len(C)):
+    for pi in np.flatnonzero(~killed):
         target = C.packed[pi : pi + 1]
         d_to_p = space.dist_matrix(C.packed, target)[:, 0]
         if _first_chord(space, C, target, d_to_p, params) is None:
@@ -228,7 +298,7 @@ def extremal_points(
             "always has some, so retry with smaller eps or a tighter hit radius"
         )
     rows = np.array(rows, dtype=np.int64)
-    return ExtremalScan(rows, C.take(rows), diagnostic)
+    return ExtremalScan(rows, C.take(rows), diagnostic, int(killed.sum()))
 
 
 @dataclass(frozen=True)

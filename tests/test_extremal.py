@@ -19,6 +19,7 @@ from bicombing_lab import (
     NormedSpaceSpec,
     PointNet,
     ProductPoint,
+    ProductSpaceSpec,
     argmax_face,
     canonical_key,
     canonical_starts,
@@ -31,8 +32,11 @@ from bicombing_lab import (
     is_extremal_set,
     make_lp_space,
     make_metric_tree,
+    make_product,
     minimal_extremal_descent,
+    star_tree,
 )
+from bicombing_lab import extremal
 from bicombing_lab.cli import _default_suite
 from bicombing_lab.instances import generate_instance
 
@@ -220,6 +224,74 @@ def test_extremal_points_match_integer_oracle(linear_space, shape, h, delta, t_g
     assert 0 < len(got) < len(C)
 
 
+def _caterpillar_leaves():
+    """(space, seed, params): the caterpillar tree seeded with its leaves."""
+    space = make_metric_tree(MetricTreeSpec(CATERPILLAR_NODES, CATERPILLAR_EDGES))
+    leaves = [space.node_point(n) for n in ("a0", "b0", "a1", "a2", "b2", "a3")]
+    return space, PointNet.build(space, leaves, 0.06), ExtremalParams(eps=0.06, delta=0.4,
+                                                                      face_tol=0.015)
+
+
+def _star_times_line():
+    """(space, seed, params): star tree x line seeded with three points."""
+    star = star_tree(3)
+    space = make_product(ProductSpaceSpec(star, make_lp_space(NormedSpaceSpec(1, 2.0))))
+    seed = PointNet.build(space, [
+        ProductPoint(star.point_on_edge(0, 0.6), euclidean(0.0)),
+        ProductPoint(star.point_on_edge(1, 0.4), euclidean(0.4)),
+        ProductPoint(star.point_on_edge(2, 0.5), euclidean(-0.3)),
+    ], 0.1)
+    return space, seed, ExtremalParams(eps=0.1, delta=0.35, face_tol=0.025)
+
+
+def _kill_nothing(space, C, params):
+    """Stand-in for the first pass that leaves every target to the scan."""
+    return np.zeros(len(C), dtype=bool)
+
+
+#: nets for the first-pass tests, by id: generator options, or a function
+#: returning (space, seed, params)
+PASS_CASES = {
+    "l2-square": {"kind": "square", "step": 0.1},
+    "linf-ball": {"kind": "lp_ball"},
+    "l1-ball": {"kind": "lp_ball", "p": 1.0},
+    "l2xl2-product_demo": {"kind": "product_demo"},
+    "hyp_triangle": {"kind": "hyp_triangle"},
+    "star-tree_leaves": {"kind": "tree_leaves"},
+    "caterpillar": _caterpillar_leaves,
+    "star-x-line": _star_times_line,
+}
+
+
+@pytest.mark.parametrize("case", list(PASS_CASES))
+def test_first_pass_kills_only_what_the_scan_kills(case, monkeypatch):
+    """Every target the batched first pass kills, the per-target scan kills
+    too, so extremal_points keeps exactly the survivors of the scan alone.
+    On the square and the hyperbolic triangle the pass kills at least half
+    of the non-extremal points."""
+    gen = PASS_CASES[case]
+    if callable(gen):
+        space, seed, params = gen()
+    else:
+        inst = generate_instance(**gen)
+        space = inst.build_space()
+        seed, params = inst.seed_net(space), inst.params.extremal_params()
+    C = hull_closure(space, seed).net
+    killed = extremal._first_pass(space, C, params)
+    for pi in np.flatnonzero(killed):
+        target = C.packed[pi : pi + 1]
+        d_to_p = space.dist_matrix(C.packed, target)[:, 0]
+        assert extremal._first_chord(space, C, target, d_to_p, params) is not None
+    scan = extremal_points(space, C, params)
+    assert scan.pass_killed == killed.sum() > 0
+    if case in ("l2-square", "hyp_triangle"):
+        assert 2 * scan.pass_killed >= len(C) - len(scan.rows)
+    monkeypatch.setattr(extremal, "_first_pass", _kill_nothing)
+    alone = extremal_points(space, C, params)
+    assert alone.pass_killed == 0
+    assert np.array_equal(scan.rows, alone.rows)
+
+
 @pytest.mark.parametrize("linear_space", LINEAR, indirect=True)
 def test_chord_sample_at_exactly_eps_does_not_kill(linear_space):
     # dyadic chord (-1, 1/4)-(1, 1/4): its t = 1/2 sample (0, 1/4) lies at
@@ -244,10 +316,28 @@ def test_chord_sample_just_inside_eps_kills(linear_space):
     params = ExtremalParams(eps=0.25, delta=0.5, t_grid=7, face_tol=0.0625)
     d_mid = distance(space, evaluate_bicombing(space, x, y, 0.5), p)
     assert params.eps * (1 - 2e-12) < d_mid < params.eps
+    # inside the first pass's band: the pass leaves p, the scan kills it
+    assert not extremal._first_pass(space, C, params).any()
     assert p not in extremal_points(space, C, params).points
     verdict = is_extremal_point(space, C, p, params)
     assert not verdict.extremal
     assert {verdict.witness.x, verdict.witness.y} == {x, y}
+
+
+@pytest.mark.parametrize("linear_space", LINEAR, indirect=True)
+def test_chord_end_just_beyond_delta_kills(linear_space):
+    # the chord (-a, 0)-(a, 0) passes through p = (0, 0) at t = 1/2, and its
+    # ends lie at a = delta * (1 + 2e-12) from p: eligible for the scan, but
+    # inside the first pass's band, so the pass leaves p and the scan kills it
+    space, _, point = linear_space
+    a = 0.5 * (1 + 2e-12)
+    p, x, y = point((0.0, 0.0)), point((-a, 0.0)), point((a, 0.0))
+    C = PointNet.build(space, [p, x, y], 0.25)
+    params = ExtremalParams(eps=0.25, delta=0.5, t_grid=7, face_tol=0.0625)
+    assert params.delta < distance(space, x, p) < params.delta * (1 + 1e-9)
+    assert not extremal._first_pass(space, C, params).any()
+    assert p not in extremal_points(space, C, params).points
+    assert not is_extremal_point(space, C, p, params).extremal
 
 
 def test_kill_found_behind_a_tied_nearest_candidate(plane):
@@ -384,10 +474,7 @@ def test_extremal_set_matches_all_pairs_oracle(case):
     all-pairs scan."""
     gen, tight = SET_ORACLE_CASES[case]
     if gen is None:
-        space = make_metric_tree(MetricTreeSpec(CATERPILLAR_NODES, CATERPILLAR_EDGES))
-        leaves = [space.node_point(n) for n in ("a0", "b0", "a1", "a2", "b2", "a3")]
-        seed = PointNet.build(space, leaves, 0.06)
-        params = ExtremalParams(eps=0.06, delta=0.4, face_tol=0.015)
+        space, seed, params = _caterpillar_leaves()
     else:
         inst = generate_instance(**gen)
         space = inst.build_space()
@@ -436,13 +523,17 @@ def test_confirm_step_evaluates_each_candidate_once(kind, monkeypatch):
     """The confirm step walks its candidates once, in order, however its
     batches split: per target of a point scan, the evaluated pairs are a
     prefix of the proposed ones (all of them for a survivor), and a passing
-    face evaluates each proposed pair once, in row-major order."""
+    face evaluates each proposed pair once, in row-major order.  The point
+    scan runs without the first pass, so that every target, the long-lived
+    ones the pass would kill included, goes through the confirm step."""
     inst = generate_instance(kind)
     space = inst.build_space()
     C = hull_closure(space, inst.seed_net(space)).net
     params = inst.params.extremal_params()
     log = _record_confirm_step(monkeypatch, space, C)
-    scan = extremal_points(space, C, params)
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_first_pass", _kill_nothing)
+        scan = extremal_points(space, C, params)
     survivors = {C.packed[r].tobytes() for r in scan.rows}
     longest = 0
     for key, blocks in log["proposed"].items():

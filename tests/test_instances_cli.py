@@ -297,8 +297,9 @@ def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
 #: negative seeds, which used to die in np.random.default_rng with a traceback,
 #: non-positive pass factors, which made verify-km fail on every instance, and
 #: t grids, face bands, segment samples and round limits that `hull` accepted
-#: and later stages rejected without the field's path; laid out as
-#: _NON_FINITE_CASES
+#: and later stages rejected without the field's path, and round-limit flags
+#: that `hull` rejected without naming the flag and `check-axioms` ignored;
+#: laid out as _NON_FINITE_CASES
 _OUT_OF_RANGE_CASES = {
     "gen-random-seed": (["gen", "random_points", "--rng-seed", "-1"], None, None, "--rng-seed"),
     "gen-square-seed": (["gen", "square", "--rng-seed", "-3"], None, None, "--rng-seed"),
@@ -313,6 +314,13 @@ _OUT_OF_RANGE_CASES = {
     "params-segment-samples": (["hull"], "square", _set_param("segment_samples", 1),
                                "params.segment_samples"),
     "params-max-rounds": (["hull"], "square", _set_param("max_rounds", 0), "params.max_rounds"),
+    "run-max-rounds-hull": (["hull", "--max-rounds", "0"], "square", None, "--max-rounds"),
+    "run-max-rounds-hull-negative": (["hull", "--max-rounds", "-1"], "square", None,
+                                     "--max-rounds"),
+    "run-max-rounds-axioms": (["check-axioms", "--max-rounds", "0"], "square", None,
+                              "--max-rounds"),
+    "run-max-rounds-axioms-negative": (["check-axioms", "--max-rounds", "-1"], "square", None,
+                                       "--max-rounds"),
 }
 
 
