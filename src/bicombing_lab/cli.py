@@ -284,7 +284,12 @@ def _cmd_export_plot(args) -> int:
         raise InstanceFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(rep, dict) or "points" not in rep:
         raise InstanceFormatError("report has no points section to plot")
-    space_desc = rep.get("instance", {}).get("space")
+    points, instance = rep["points"], rep.get("instance", {})
+    if not isinstance(points, dict):
+        raise InstanceFormatError("points: expected an object")
+    if not isinstance(instance, dict):
+        raise InstanceFormatError("instance: expected an object")
+    space_desc = instance.get("space")
     if not isinstance(space_desc, dict):
         raise InstanceFormatError("report carries no space description")
     space = build_space(space_desc)
@@ -292,8 +297,11 @@ def _cmd_export_plot(args) -> int:
 
     rows = []
     for label in ("net", "extremal", "hull_of_extremal"):
-        for obj in rep["points"].get(label, []):
-            x, y = project(point_from_obj(obj))
+        objs = points.get(label, [])
+        if not isinstance(objs, list):
+            raise InstanceFormatError(f"points.{label}: expected a list of points")
+        for i, obj in enumerate(objs):
+            x, y = project(point_from_obj(obj, f"points.{label}[{i}]"))
             rows.append((x, y, label))
 
     with open(args.out, "w", encoding="utf-8") as fh:

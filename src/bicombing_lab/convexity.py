@@ -5,14 +5,17 @@ distance between nets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .space_core import BLOCK_ENTRIES, BicombedSpace, InvalidInputError, Point, _row_blocks
+from .space_core import (BLOCK_ENTRIES, _BALL_MARGIN, BicombedSpace, InvalidInputError, Point,
+                         _row_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +208,58 @@ def canonical_rows(packed: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-#: relative half-width of the band around eps/2 in which `_greedy_separate`
-#: re-decides an index distance with the space's exact ``min_dist``
-_TIE_BAND = 1e-9
+#: alive rows that one step of `_greedy_separate` decides among themselves
+_LEADERS = 64
 
 
 def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
     """Rows of the packed candidates that a greedy eps/2 separation keeps.
 
     Candidates are taken in row order, and each is kept when it lies at least
-    eps/2 from every earlier keeper.  Rows go in chunks of 512.  A chunk is
-    tested against the keepers of earlier chunks through the space's nearest
-    index over them (a KD-tree on coordinate spaces).  An index distance
-    within eps/2 * (1 +- _TIE_BAND) is re-decided by the exact
-    ``space.min_dist``, so eps/2 ties fall as that exact distance says.  The
-    rows that pass are decided in order from their pairs closer than eps/2
+    eps/2 from every earlier keeper.  The sweep takes the next _LEADERS rows
+    still alive and decides them in order from their pairs closer than eps/2
     (``space.close_pairs``): a row still alive when its turn comes is kept
-    and kills its later partners.  A row already killed can neither be kept
-    nor kill a later row, so it is left out.
+    and kills its later partners.  The block's keepers then kill every later
+    alive row closer than eps/2 to one of them, so each row that reaches a
+    block lies at least eps/2 from every earlier keeper.  Linear spaces find
+    those rows among the hits of one KD-tree over all candidates within
+    eps/2 (1 + _BALL_MARGIN), each re-decided by the exact ``paired_dist``;
+    other spaces take ``space.min_dist`` from the later alive rows to the
+    keepers.  Both equal the distance matrix entry bit for bit, so eps/2
+    ties fall as that entry says.
     """
-    kept, n = [np.empty(0, dtype=np.int64)], len(cands)
-    r = eps / 2
-    for lo in range(0, n, 512):
-        rows = np.arange(lo, min(lo + 512, n))
-        if lo:
-            acc, chunk = cands[np.concatenate(kept)], cands[rows]
-            d = space.make_index(acc).min_dist(chunk)
-            tie = np.nonzero(np.abs(d - r) <= r * _TIE_BAND)[0]
-            if len(tie):
-                d[tie] = space.min_dist(chunk[tie], acc)
-            rows = rows[d >= r]
+    n, r = len(cands), eps / 2
+    alive = np.ones(n, dtype=bool)
+    # an unbalanced tree builds faster, and a sweep asks it only a few queries
+    tree = (cKDTree(cands, balanced_tree=False, compact_nodes=False)
+            if space.linear_p is not None and n else None)
+    kept, lo = [np.empty(0, dtype=np.int64)], 0
+    while True:
+        rows = np.flatnonzero(alive[lo:])[:_LEADERS] + lo
+        if not len(rows):
+            break
         I, J = space.close_pairs(cands[rows], r)
         ok = np.ones(len(rows), dtype=bool)
         heads, firsts = np.unique(I, return_index=True)
         for i, a, b in zip(heads.tolist(), firsts.tolist(), firsts[1:].tolist() + [len(I)]):
             if ok[i]:
                 ok[J[a:b]] = False
-        kept.append(rows[ok])
+        keep, lo = rows[ok], int(rows[-1]) + 1
+        kept.append(keep)
+        if tree is None:
+            later = np.flatnonzero(alive[lo:]) + lo
+            if len(later):
+                alive[later[space.min_dist(cands[later], cands[keep]) < r]] = False
+            continue
+        found = tree.query_ball_point(cands[keep], r * (1.0 + _BALL_MARGIN), p=space.linear_p,
+                                      return_sorted=False)
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        hits = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64,
+                           count=int(counts.sum()))
+        owners = np.repeat(keep, counts)
+        later = (hits >= lo) & alive[hits]
+        hits, owners = hits[later], owners[later]
+        alive[hits[space.paired_dist(cands[hits], cands[owners]) < r]] = False
     return np.concatenate(kept)
 
 
@@ -382,8 +400,9 @@ def hull_closure(
     ``index.min_dist(...) >= eps/2``, so the same samples are kept.  Other
     spaces get a cover with no cells.  The net stays packed rows throughout:
     the kept samples, joined once per round, pass in canonical order
-    (``canonical_rows``) through ``_greedy_separate``, and the rows it
-    accepts are appended, so the result does not depend on scan order.
+    (``canonical_rows``) through ``_greedy_separate``, whose keepers kill
+    their later neighbours block by block, and the rows it accepts are
+    appended, so the result does not depend on scan order.
     Stops at the first round that inserts nothing, or returns
     converged=False when max_rounds is exhausted.
     """

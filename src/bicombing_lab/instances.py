@@ -356,7 +356,8 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
                       radius: float = 0.5, side: float = 1.0,
                       rng_seed: int = 0) -> InstanceFile:
     """Deterministic instance of one of the built-in kinds."""
-    for name, value in (("step", step), ("eps", eps), ("side", side)):
+    for name, value in (("step", step), ("eps", eps), ("side", side), ("radius", radius),
+                        ("leaves", leaves), ("n", n), ("dim", dim)):
         if value is not None and not value > 0:
             raise InvalidInputError(f"{name} must be positive, got {value}")
     if rng_seed < 0:

@@ -658,8 +658,8 @@ def _random_points(space_name, rng, count):
     ("product_space", 0.1, 1300),
 ])
 def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, request):
-    # more than 512 candidates span several chunks, so both the test against
-    # earlier chunks' keepers and the in-chunk decisions are exercised
+    # 1300 candidates span many leader blocks, so both the kills by earlier
+    # blocks' keepers and the in-block decisions are exercised
     space = request.getfixturevalue(space_name)
     pts = oracles.canonical_dedup(_random_points(space_name, np.random.default_rng(43), count))
     want = oracles.greedy_separation(space, pts, eps)
@@ -669,6 +669,71 @@ def test_greedy_separation_matches_one_point_oracle(space_name, eps, count, requ
     rng = np.random.default_rng(44)
     shuffled = [pts[i] for i in rng.permutation(len(pts))] + pts[:50]
     assert PointNet.build(space, shuffled, eps).points == tuple(want)
+
+
+def _hull_shaped(case, caterpillar):
+    """(space, candidate points, eps) shaped like a hull round's candidates:
+    the samples at t = k/256 of every segment between a few seed points, in
+    canonical order.  Each kept row has dozens of near-duplicates, and the
+    clusters around crossing segments interleave in canonical order, so they
+    straddle leader blocks.  On the linear cases seed and samples are dyadic,
+    so many rows lie exactly eps/2 = 1/8 apart."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.25), (0.25, 0.75)]
+    if case in ("l1", "l2", "linf"):
+        space = make_lp_space(NormedSpaceSpec(2, {"l1": 1.0, "l2": 2.0, "linf": math.inf}[case]))
+        seed, eps = [euclidean(*c) for c in corners], 0.25
+    elif case == "l2xl2":
+        space = make_product(ProductSpaceSpec(make_lp_space(NormedSpaceSpec(1, 2.0)),
+                                              make_lp_space(NormedSpaceSpec(1, 2.0))))
+        seed, eps = [ProductPoint(euclidean(a), euclidean(b)) for a, b in corners], 0.25
+    elif case.startswith("hyperbolic"):
+        space = make_hyperbolic_plane()
+        seed = [hyperbolic_point_at(1.0, k * 2 * math.pi / 5) for k in range(5)]
+        seed, eps = seed + [hyperbolic_point_at(0.0, 0.0)], 0.2
+    elif case == "caterpillar":
+        space = caterpillar
+        seed = [space.node_point(nm) for nm in ("a0", "b0", "a1", "a2", "b2", "a3")]
+        seed, eps = seed + [space.node_point("s1")], 0.1
+    else:  # star x line
+        star = star_tree(3)
+        space = make_product(ProductSpaceSpec(star, make_lp_space(NormedSpaceSpec(1, 2.0))))
+        seed = [ProductPoint(star.node_point(f"l{i}"), euclidean(y)) for i in range(3)
+                for y in (0.0, 1.0)]
+        seed, eps = seed + [ProductPoint(star.node_point("c"), euclidean(0.5))], 0.2
+    P = space.pack(seed)
+    I, J = np.triu_indices(len(P), 1)
+    cands = np.concatenate([P, space.segment_batch(P, I, J, np.arange(1, 256) / 256)])
+    if case == "hyperbolic_boosted":
+        cands = cands @ lorentz_boost(3.0).T
+    return space, space.points_from_packed(cands[canonical_rows(cands)]), eps
+
+
+_HULL_SHAPED = ["l1", "l2", "linf", "l2xl2", "hyperbolic", "hyperbolic_boosted",
+                "caterpillar", "star_x_line"]
+
+
+@pytest.mark.parametrize("case", _HULL_SHAPED)
+def test_greedy_separation_matches_oracle_on_hull_shaped_sets(case, caterpillar):
+    space, pts, eps = _hull_shaped(case, caterpillar)
+    want = oracles.greedy_separation(space, pts, eps)
+    P = space.pack(pts)
+    rows = _greedy_separate(space, P, eps)
+    assert [pts[i] for i in rows] == want
+    assert len(pts) > 10 * len(want) and len(pts) > 16 * 64
+    if case in ("l1", "l2", "linf", "l2xl2"):
+        kept = P[rows]
+        assert (space.dist_matrix(kept, kept) == eps / 2).any()
+    # the small and degenerate inputs: no rows, one, two, and the largest
+    # cluster within eps/4 of one row, whose first row alone is kept
+    for few in ([], pts[:1], pts[:2], pts[len(pts) // 2 : len(pts) // 2 + 2]):
+        assert [few[i] for i in _greedy_separate(space, space.pack(few), eps)] == \
+            oracles.greedy_separation(space, few, eps)
+    I, J = space.close_pairs(P, eps / 4)
+    centre = np.argmax(np.bincount(np.concatenate([I, J]), minlength=len(P)))
+    cluster = [pts[i] for i in sorted({centre, *J[I == centre], *I[J == centre]})]
+    got = _greedy_separate(space, space.pack(cluster), eps)
+    assert [cluster[i] for i in got] == oracles.greedy_separation(space, cluster, eps)
+    assert len(got) == 1 and len(cluster) > 64
 
 
 def _raster_space(name):
@@ -693,24 +758,34 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
     # gaps equal eps/2 and every point is kept; at 0.0625 every other point
     # is killed and the survivors tie at exactly eps/2 (in l1 the diagonal
     # neighbours tie too, and the keepers form a checkerboard).  The raster spans
-    # more than 512 rows, so ties reach the nearest-index test against
-    # earlier chunks, and within it the exact min_dist of the tie band.
+    # many leader blocks, so ties reach the KD ball hits of earlier blocks'
+    # keepers, and the exact paired_dist that re-decides them outside
+    # close_pairs.
     space, point = _raster_space(name)
     eps = 0.25
     pts = [point(i * step, j * step) for i in range(33) for j in range(33)]
     want = oracles.greedy_separation(space, pts, eps)
     assert len(want) == (kept + 16 * 16 if name == "l1" and step == 0.0625 else kept)
-    band_rows = []
-    exact = space.min_dist
+    hit_ties, in_block = [], []
+    exact, block_pairs = space.paired_dist, space.close_pairs
 
     def counted(A, B):
-        band_rows.append(len(A))
-        return exact(A, B)
+        d = exact(A, B)
+        if not in_block:
+            hit_ties.append(int((d == eps / 2).sum()))
+        return d
 
-    monkeypatch.setattr(space, "min_dist", counted)
+    def block(packed, r):
+        in_block.append(True)
+        pairs = block_pairs(packed, r)
+        in_block.pop()
+        return pairs
+
+    monkeypatch.setattr(space, "paired_dist", counted)
+    monkeypatch.setattr(space, "close_pairs", block)
     rows = _greedy_separate(space, space.pack(pts), eps)
     assert [pts[i] for i in rows] == want
-    assert sum(band_rows) > 0
+    assert sum(hit_ties) > 0
     assert PointNet.build(space, pts[::-1], eps).points == tuple(want)
 
 

@@ -73,6 +73,15 @@ def test_generate_rejects_negative_seed(kind):
         generate_instance(kind, rng_seed=-1)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("disk", "radius", -1.0), ("disk", "radius", 0.0), ("tree_leaves", "leaves", 0),
+    ("random_points", "n", 0), ("random_points", "dim", 0), ("random_points", "dim", -2),
+])
+def test_generate_rejects_out_of_range_sizes(kind, field, value):
+    with pytest.raises(InvalidInputError, match=f"^{field} must be positive, got {value}$"):
+        generate_instance(kind, **{field: value})
+
+
 def test_to_obj_writes_fields_in_declaration_order():
     witness = ConvexityWitness(euclidean(0, 1), hyperboloid(1, 0, 0), TreePoint(2, 0.5),
                                ProductPoint(euclidean(1), euclidean(2)), 0.25, 0.5, 0.75,
@@ -335,10 +344,17 @@ def test_cli_rejects_out_of_range_input(case, tmp_path, capsys):
     (["hyp_triangle", "--side", "0"], "side"),
     (["cube", "--step", "-0.1"], "step"),
     (["cube", "--step", "0.5", "--eps", "-1"], "eps"),
+    (["disk", "--radius", "-1"], "radius must be positive"),
+    (["disk", "--radius", "0"], "radius must be positive"),
+    (["tree_leaves", "--leaves", "0"], "leaves must be positive"),
+    (["random_points", "--n", "0"], "n must be positive"),
+    (["random_points", "--dim", "0"], "dim must be positive"),
 ])
 def test_cli_gen_rejects_bad_flags(argv, name, tmp_path, capsys):
-    # the first three used to crash with a traceback; the last two wrote
-    # instance files that every pipeline rejected
+    # the first three used to crash with a traceback; the next two wrote
+    # instance files that every pipeline rejected.  A negative radius traced
+    # the circle from (-1, 0), radius 0 wrote copies of the origin, and the
+    # empty and zero-dimensional kinds failed naming no field
     out = tmp_path / "out.json"
     assert main(["gen", *argv, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
@@ -424,6 +440,26 @@ def test_export_plot_star_tree_equal_angles(tmp_path):
     angles = sorted(math.atan2(y, x) % (2 * math.pi) for x, y in set(tips))
     gaps = {round((b - a) % (2 * math.pi), 9) for a, b in zip(angles, angles[1:])}
     assert len(gaps) == 1
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda rep: rep.update(points=[]), "points: expected an object"),
+    (lambda rep: rep["points"].update(net=5), "points.net: expected a list"),
+    (lambda rep: rep.update(instance=[]), "instance: expected an object"),
+    (lambda rep: rep["points"]["extremal"].insert(0, 7), "points.extremal[0]"),
+], ids=["points-list", "net-int", "instance-list", "point-int"])
+def test_export_plot_rejects_malformed_sections(edit, field, tmp_path, capsys):
+    # the first three used to exit 1 with an AttributeError or TypeError
+    inst, rep, csvf = tmp_path / "sq.json", tmp_path / "sq_rep.json", tmp_path / "sq.csv"
+    main(["gen", "square", "--step", "0.25", "--out", str(inst)])
+    assert main(["verify-km", "--instance", str(inst), "--out", str(rep), "--quiet"]) == 0
+    obj = json.loads(rep.read_text())
+    edit(obj)
+    rep.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["export-plot", "--report", str(rep), "--out", str(csvf)]) == 2
+    assert field in capsys.readouterr().err
+    assert not csvf.exists()
 
 
 def test_export_plot_determinism_and_unprojectable(tmp_path):
