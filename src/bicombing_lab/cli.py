@@ -32,7 +32,7 @@ from .instances import (
     generate_instance,
     instance_to_obj,
     load_instance,
-    point_from_obj,
+    point_in_space,
     save_instance,
     to_obj,
 )
@@ -301,7 +301,7 @@ def _cmd_export_plot(args) -> int:
         if not isinstance(objs, list):
             raise InstanceFormatError(f"points.{label}: expected a list of points")
         for i, obj in enumerate(objs):
-            x, y = project(point_from_obj(obj, f"points.{label}[{i}]"))
+            x, y = project(point_in_space(space, obj, f"points.{label}[{i}]"))
             rows.append((x, y, label))
 
     with open(args.out, "w", encoding="utf-8") as fh:

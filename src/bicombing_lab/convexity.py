@@ -208,8 +208,9 @@ def canonical_rows(packed: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-#: alive rows that one step of `_greedy_separate` decides among themselves
-_LEADERS = 64
+#: alive rows that one step of `_greedy_separate` decides among themselves,
+#: from a dense block whose cost grows with the square of this count
+_LEADERS = 48
 
 
 def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
@@ -217,16 +218,16 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
 
     Candidates are taken in row order, and each is kept when it lies at least
     eps/2 from every earlier keeper.  The sweep takes the next _LEADERS rows
-    still alive and decides them in order from their pairs closer than eps/2
-    (``space.close_pairs``): a row still alive when its turn comes is kept
-    and kills its later partners.  The block's keepers then kill every later
-    alive row closer than eps/2 to one of them, so each row that reaches a
-    block lies at least eps/2 from every earlier keeper.  Linear spaces find
-    those rows among the hits of one KD-tree over all candidates within
-    eps/2 (1 + _BALL_MARGIN), each re-decided by the exact ``paired_dist``;
-    other spaces take ``space.min_dist`` from the later alive rows to the
-    keepers.  Both equal the distance matrix entry bit for bit, so eps/2
-    ties fall as that entry says.
+    still alive and decides them in order from their dense distance block
+    (``space.dist_matrix``): a row still alive when its turn comes is kept
+    and kills its later rows closer than eps/2.  The block's keepers then
+    kill every later alive row closer than eps/2 to one of them, so each row
+    that reaches a block lies at least eps/2 from every earlier keeper.
+    Linear spaces find those rows among the hits of one KD-tree over all
+    candidates within eps/2 (1 + _BALL_MARGIN), each re-decided by the exact
+    ``paired_dist``; other spaces take ``space.min_dist`` from the later
+    alive rows to the keepers.  Both equal the distance matrix entry bit for
+    bit, so eps/2 ties fall as that entry says.
     """
     n, r = len(cands), eps / 2
     alive = np.ones(n, dtype=bool)
@@ -238,12 +239,12 @@ def _greedy_separate(space: BicombedSpace, cands, eps: float) -> np.ndarray:
         rows = np.flatnonzero(alive[lo:])[:_LEADERS] + lo
         if not len(rows):
             break
-        I, J = space.close_pairs(cands[rows], r)
+        B = cands[rows]
+        near = np.triu(space.dist_matrix(B, B).T < r, k=1)
         ok = np.ones(len(rows), dtype=bool)
-        heads, firsts = np.unique(I, return_index=True)
-        for i, a, b in zip(heads.tolist(), firsts.tolist(), firsts[1:].tolist() + [len(I)]):
+        for i in np.flatnonzero(near.any(axis=1)).tolist():
             if ok[i]:
-                ok[J[a:b]] = False
+                ok &= ~near[i]
         keep, lo = rows[ok], int(rows[-1]) + 1
         kept.append(keep)
         if tree is None:

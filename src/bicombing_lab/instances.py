@@ -119,7 +119,7 @@ def build_space(desc: dict, path: str = "space") -> BicombedSpace:
             p = math.inf
         if not isinstance(p, (int, float)) or not (_finite(p) or p == math.inf):
             raise InstanceFormatError(f"{path}.p: expected a number or \"inf\"")
-        return make_lp_space(NormedSpaceSpec(dim, float(p)))
+        return _at(path, lambda: make_lp_space(NormedSpaceSpec(dim, float(p))))
     if kind == "hyperbolic":
         _reject_unknown(desc, {"kind"}, path)
         return make_hyperbolic_plane()
@@ -138,17 +138,24 @@ def build_space(desc: dict, path: str = "space") -> BicombedSpace:
                     and _finite(e[2])):
                 raise InstanceFormatError(f"{path}.edges[{i}]: expected [tail, head, length]")
             parsed.append((e[0], e[1], float(e[2])))
-        return make_metric_tree(MetricTreeSpec(tuple(nodes), tuple(parsed)))
+        return _at(path, lambda: make_metric_tree(MetricTreeSpec(tuple(nodes), tuple(parsed))))
     if kind == "product":
         _reject_unknown(desc, {"kind", "left", "right"}, path)
         left = desc.get("left")
         right = desc.get("right")
         if not isinstance(left, dict) or not isinstance(right, dict):
             raise InstanceFormatError(f"{path}: product factors must be space objects")
-        return make_product(
-            ProductSpaceSpec(build_space(left, path + ".left"), build_space(right, path + ".right"))
-        )
+        factors = build_space(left, path + ".left"), build_space(right, path + ".right")
+        return _at(path, lambda: make_product(ProductSpaceSpec(*factors)))
     raise InstanceFormatError(f"{path}.kind: unknown space kind {kind!r}")
+
+
+def _at(path: str, call, *args):
+    """``call(*args)``, its input errors re-raised naming ``path``."""
+    try:
+        return call(*args)
+    except InvalidInputError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def space_to_dict(space: BicombedSpace) -> dict:
@@ -228,6 +235,13 @@ def point_from_obj(obj: Any, path: str = "point") -> Point:
     raise InstanceFormatError(f"{path}.kind: unknown point kind {kind!r}")
 
 
+def point_in_space(space: BicombedSpace, obj: Any, path: str) -> Point:
+    """``point_from_obj``, then ``space.validate_point``; errors name ``path``."""
+    p = point_from_obj(obj, path)
+    _at(path, space.validate_point, p)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # File round trip
 # ---------------------------------------------------------------------------
@@ -287,11 +301,11 @@ def instance_from_obj(obj: Any) -> InstanceFile:
     space_desc = obj.get("space")
     if not isinstance(space_desc, dict):
         raise InstanceFormatError("space: expected an object")
-    build_space(space_desc)  # validates eagerly
+    space = build_space(space_desc)
     raw_pts = obj.get("seed_points")
     if not isinstance(raw_pts, list) or not raw_pts:
         raise InstanceFormatError("seed_points: expected a non-empty list")
-    pts = tuple(point_from_obj(p, f"seed_points[{i}]") for i, p in enumerate(raw_pts))
+    pts = tuple(point_in_space(space, p, f"seed_points[{i}]") for i, p in enumerate(raw_pts))
     raw_params = obj.get("params")
     if not isinstance(raw_params, dict):
         raise InstanceFormatError("params: expected an object")
@@ -360,6 +374,10 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
                         ("leaves", leaves), ("n", n), ("dim", dim)):
         if value is not None and not value > 0:
             raise InvalidInputError(f"{name} must be positive, got {value}")
+    # past a side of about 8.3, cosh^2 - sinh^2 cancels in float and the
+    # hyp_triangle vertices leave the hyperboloid's 1e-9 tolerance
+    if side > 8.0:
+        raise InvalidInputError(f"side must be at most 8.0, got {side}")
     if rng_seed < 0:
         raise InvalidInputError(f"rng_seed must be non-negative, got {rng_seed}")
     if kind == "square":

@@ -193,9 +193,9 @@ class _AlignedChords:
             yield R[ri], elig[ci]
 
 
-#: relative margin on KD-tree radii (the reflected ball radius, the close-pair
-#: radius), so rounding in the reflected centre or in the KD-tree's distances
-#: can never drop a hitting chord or a close pair
+#: relative margin on KD-tree radii (the reflected ball radius, the greedy
+#: separation's kill radius), so rounding in the reflected centre or in the
+#: KD-tree's distances can never drop a hitting chord or a close row
 _BALL_MARGIN = 1e-9
 
 
@@ -281,9 +281,11 @@ class BicombedSpace:
     override it.
 
     ``linear_p`` is the p of a norm in which rows are linear coordinates
-    (lp, l^2 x l^2).  Those spaces get KD-tree nearest queries and close
-    pairs, a cell cover on the rows and reflected-endpoint chord queries;
-    the others scan dense blocks and filter chords by alignment.
+    (lp, l^2 x l^2).  Those spaces get KD-tree nearest queries, a cell
+    cover on the rows and reflected-endpoint chord queries; the others scan
+    dense blocks and filter chords by alignment.  Greedy separation decides
+    each block of leaders from its dense ``dist_matrix`` block on every
+    space.
 
     Set-level operations (hull closure, extremal scans), the single-point
     operations ``distance`` and ``evaluate_bicombing``, and ``check_axioms``
@@ -342,20 +344,6 @@ class BicombedSpace:
         for rows in _row_blocks(len(A), len(B)):
             out[rows] = self._dist_block(A[rows], B).min(axis=1)
         return out
-
-    def close_pairs(self, packed, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row pairs (I, J), I < J, of a packed set at distance below r,
-        ordered by I, then J; the distance of a pair is entry [J, I] of
-        ``dist_matrix(packed, packed)``.  Linear spaces take KD-tree pairs
-        within r (1 + _BALL_MARGIN) and re-decide them by ``paired_dist``."""
-        if self.linear_p is None:
-            D = self.dist_matrix(packed, packed)
-            return np.nonzero(np.triu(D.T < r, k=1))
-        pairs = cKDTree(packed).query_pairs(r * (1.0 + _BALL_MARGIN), p=self.linear_p,
-                                            output_type="ndarray")
-        I, J = pairs[np.lexsort(pairs.T[::-1])].T
-        close = self.paired_dist(packed[J], packed[I]) < r
-        return I[close], J[close]
 
     def hull_dist(self, A, K) -> np.ndarray:
         """Per-row distance from packed set A to the closed convex hull of the

@@ -728,9 +728,12 @@ def test_greedy_separation_matches_oracle_on_hull_shaped_sets(case, caterpillar)
     for few in ([], pts[:1], pts[:2], pts[len(pts) // 2 : len(pts) // 2 + 2]):
         assert [few[i] for i in _greedy_separate(space, space.pack(few), eps)] == \
             oracles.greedy_separation(space, few, eps)
-    I, J = space.close_pairs(P, eps / 4)
-    centre = np.argmax(np.bincount(np.concatenate([I, J]), minlength=len(P)))
-    cluster = [pts[i] for i in sorted({centre, *J[I == centre], *I[J == centre]})]
+    step = BLOCK_ENTRIES // len(P)
+    counts = np.concatenate([(space.dist_matrix(P[lo:lo + step], P) < eps / 4).sum(axis=1)
+                             for lo in range(0, len(P), step)])
+    centre = int(np.argmax(counts))
+    close = space.dist_matrix(P[centre:centre + 1], P)[0] < eps / 4
+    cluster = [pts[i] for i in np.flatnonzero(close)]
     got = _greedy_separate(space, space.pack(cluster), eps)
     assert [cluster[i] for i in got] == oracles.greedy_separation(space, cluster, eps)
     assert len(got) == 1 and len(cluster) > 64
@@ -759,15 +762,15 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
     # is killed and the survivors tie at exactly eps/2 (in l1 the diagonal
     # neighbours tie too, and the keepers form a checkerboard).  The raster spans
     # many leader blocks, so ties reach the KD ball hits of earlier blocks'
-    # keepers, and the exact paired_dist that re-decides them outside
-    # close_pairs.
+    # keepers, and the exact paired_dist that re-decides them outside the
+    # leaders' dense dist_matrix block.
     space, point = _raster_space(name)
     eps = 0.25
     pts = [point(i * step, j * step) for i in range(33) for j in range(33)]
     want = oracles.greedy_separation(space, pts, eps)
     assert len(want) == (kept + 16 * 16 if name == "l1" and step == 0.0625 else kept)
     hit_ties, in_block = [], []
-    exact, block_pairs = space.paired_dist, space.close_pairs
+    exact, block_matrix = space.paired_dist, space.dist_matrix
 
     def counted(A, B):
         d = exact(A, B)
@@ -775,14 +778,14 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
             hit_ties.append(int((d == eps / 2).sum()))
         return d
 
-    def block(packed, r):
+    def block(A, B):
         in_block.append(True)
-        pairs = block_pairs(packed, r)
+        D = block_matrix(A, B)
         in_block.pop()
-        return pairs
+        return D
 
     monkeypatch.setattr(space, "paired_dist", counted)
-    monkeypatch.setattr(space, "close_pairs", block)
+    monkeypatch.setattr(space, "dist_matrix", block)
     rows = _greedy_separate(space, space.pack(pts), eps)
     assert [pts[i] for i in rows] == want
     assert sum(hit_ties) > 0
@@ -790,10 +793,11 @@ def test_greedy_separation_keeps_exact_half_eps_gaps(name, step, kept, monkeypat
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3", "linf", "l2xl2"])
-def test_close_pairs_match_dense_matrix(name):
-    # the KD-tree pairs, re-decided by paired_dist, are the dense matrix's
-    # pairs below r: paired_dist of (J, I) is its entry [J, I] bit for bit.
-    # A dyadic raster of step 1/16 puts many pairs exactly at r = 1/16
+def test_greedy_block_and_kill_distances_agree(name):
+    # greedy separation decides a block of leaders from its dense
+    # dist_matrix block and kills later rows by paired_dist, so the two must
+    # agree at eps/2: paired_dist of (J, I) is entry [J, I] bit for bit.  A
+    # dyadic raster of step 1/16 puts many pairs at r = 1/16 (exactly, but in l3)
     space, point = _raster_space(name)
     rng = np.random.default_rng(45)
     pts = [point(i / 16, j / 16) for i in range(17) for j in range(17)]
@@ -803,11 +807,6 @@ def test_close_pairs_match_dense_matrix(name):
     I, J = np.triu_indices(len(pts), k=1)
     exact = space.paired_dist(P[J], P[I])
     assert exact.tobytes() == D[J, I].tobytes()
-    for r in (1 / 16, 0.05, 0.0):
-        got = space.close_pairs(P, r)
-        want = np.nonzero(np.triu(D.T < r, k=1))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert len(got[0]) > 0 or r == 0.0
 
 
 def test_diameter_is_maximum_over_row_blocks():

@@ -82,6 +82,19 @@ def test_generate_rejects_out_of_range_sizes(kind, field, value):
         generate_instance(kind, **{field: value})
 
 
+@pytest.mark.parametrize("side", [30.0, 400.0, 1000.0])
+def test_generate_rejects_triangle_sides_past_float_range(side):
+    # side 30 left the sheet tolerance, 400 gave a nan coordinate and 1000
+    # overflowed math.cosh, none of them naming the flag
+    with pytest.raises(InvalidInputError, match=f"^side must be at most 8.0, got {side}$"):
+        generate_instance("hyp_triangle", side=side)
+
+
+def test_generate_triangle_at_largest_side_loads():
+    inst = generate_instance("hyp_triangle", side=8.0)
+    assert instance_from_obj(instance_to_obj(inst)).seed_points == inst.seed_points
+
+
 def test_to_obj_writes_fields_in_declaration_order():
     witness = ConvexityWitness(euclidean(0, 1), hyperboloid(1, 0, 0), TreePoint(2, 0.5),
                                ProductPoint(euclidean(1), euclidean(2)), 0.25, 0.5, 0.75,
@@ -307,7 +320,8 @@ def test_cli_rejects_non_finite_input(case, tmp_path, capsys):
 #: non-positive pass factors, which made verify-km fail on every instance, and
 #: t grids, face bands, segment samples and round limits that `hull` accepted
 #: and later stages rejected without the field's path, and round-limit flags
-#: that `hull` rejected without naming the flag and `check-axioms` ignored;
+#: that `hull` rejected without naming the flag and `check-axioms` ignored,
+#: and space and seed point errors that named no field;
 #: laid out as _NON_FINITE_CASES
 _OUT_OF_RANGE_CASES = {
     "gen-random-seed": (["gen", "random_points", "--rng-seed", "-1"], None, None, "--rng-seed"),
@@ -330,6 +344,18 @@ _OUT_OF_RANGE_CASES = {
                               "--max-rounds"),
     "run-max-rounds-axioms-negative": (["check-axioms", "--max-rounds", "-1"], "square", None,
                                        "--max-rounds"),
+    "space-dim": (["hull"], "square", lambda obj: obj["space"].update(dim=0),
+                  "space: dimension must be >= 1"),
+    "space-p": (["hull"], "square", lambda obj: obj["space"].update(p=0.5), "space: p = 0.5"),
+    "space-left-dim": (["hull"], "product_demo", lambda obj: obj["space"]["left"].update(dim=0),
+                       "space.left: dimension must be >= 1"),
+    "tree-edge-length": (["hull"], "tree_leaves",
+                         lambda obj: obj["space"]["edges"][0].__setitem__(2, -1),
+                         "space: edge 0 has length -1.0"),
+    "seed-point-dim": (["hull"], "square", _set_coords(0, [0.0, 0.0, 0.0]),
+                       "seed_points[0]: EuclideanPoint"),
+    "seed-point-off-sheet": (["hull"], "hyp_triangle", _set_coords(1, [1.0, 1.0, 0.0]),
+                             "seed_points[1]: point off the unit hyperboloid"),
 }
 
 
@@ -349,12 +375,17 @@ def test_cli_rejects_out_of_range_input(case, tmp_path, capsys):
     (["tree_leaves", "--leaves", "0"], "leaves must be positive"),
     (["random_points", "--n", "0"], "n must be positive"),
     (["random_points", "--dim", "0"], "dim must be positive"),
+    (["hyp_triangle", "--side", "30"], "side"),
+    (["hyp_triangle", "--side", "400"], "side"),
+    (["hyp_triangle", "--side", "1000"], "side"),
 ])
 def test_cli_gen_rejects_bad_flags(argv, name, tmp_path, capsys):
     # the first three used to crash with a traceback; the next two wrote
     # instance files that every pipeline rejected.  A negative radius traced
     # the circle from (-1, 0), radius 0 wrote copies of the origin, and the
-    # empty and zero-dimensional kinds failed naming no field
+    # empty and zero-dimensional kinds failed naming no field.  Triangle
+    # sides of 30, 400 and 1000 failed on the sheet check, on a nan
+    # coordinate and in math.cosh
     out = tmp_path / "out.json"
     assert main(["gen", *argv, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
@@ -442,17 +473,39 @@ def test_export_plot_star_tree_equal_angles(tmp_path):
     assert len(gaps) == 1
 
 
-@pytest.mark.parametrize("edit, field", [
-    (lambda rep: rep.update(points=[]), "points: expected an object"),
-    (lambda rep: rep["points"].update(net=5), "points.net: expected a list"),
-    (lambda rep: rep.update(instance=[]), "instance: expected an object"),
-    (lambda rep: rep["points"]["extremal"].insert(0, 7), "points.extremal[0]"),
-], ids=["points-list", "net-int", "instance-list", "point-int"])
-def test_export_plot_rejects_malformed_sections(edit, field, tmp_path, capsys):
-    # the first three used to exit 1 with an AttributeError or TypeError
-    inst, rep, csvf = tmp_path / "sq.json", tmp_path / "sq_rep.json", tmp_path / "sq.csv"
-    main(["gen", "square", "--step", "0.25", "--out", str(inst)])
-    assert main(["verify-km", "--instance", str(inst), "--out", str(rep), "--quiet"]) == 0
+def _set_net_point(point):
+    return lambda rep: rep["points"]["net"].__setitem__(0, point)
+
+
+#: the report each malformed-input case edits: gen arguments and pipeline
+_PLOT_REPORTS = {"square": (["square", "--step", "0.25"], "verify-km"),
+                 "tree": (["tree_leaves"], "hull")}
+
+
+@pytest.mark.parametrize("report, edit, field", [
+    ("square", lambda rep: rep.update(points=[]), "points: expected an object"),
+    ("square", lambda rep: rep["points"].update(net=5), "points.net: expected a list"),
+    ("square", lambda rep: rep.update(instance=[]), "instance: expected an object"),
+    ("square", lambda rep: rep["points"]["extremal"].insert(0, 7), "points.extremal[0]"),
+    ("tree", _set_net_point({"kind": "tree", "edge": 99, "offset": 0.5}),
+     "points.net[0]: tree point references unknown edge 99"),
+    ("tree", _set_net_point({"kind": "tree", "edge": -1, "offset": 0.5}),
+     "points.net[0]: tree point references unknown edge -1"),
+    ("tree", _set_net_point({"kind": "tree", "edge": 0, "offset": 7.0}),
+     "points.net[0]: offset 7.0 outside [0, 1.0]"),
+    ("tree", _set_net_point({"kind": "euclidean", "coords": [0.0, 0.0]}),
+     "points.net[0]: EuclideanPoint"),
+], ids=["points-list", "net-int", "instance-list", "point-int", "tree-edge-99",
+        "tree-edge-negative", "tree-offset-past-leaf", "tree-euclidean"])
+def test_export_plot_rejects_malformed_sections(report, edit, field, tmp_path, capsys):
+    # the first three used to exit 1 with an AttributeError or TypeError.  Of
+    # the tree points, edge 99 and the euclidean point exited 1 with a
+    # traceback, and edge -1 and offset 7 were plotted (on the last edge, and
+    # past the leaf)
+    inst, rep, csvf = tmp_path / "in.json", tmp_path / "rep.json", tmp_path / "out.csv"
+    gen_args, pipeline = _PLOT_REPORTS[report]
+    main(["gen", *gen_args, "--out", str(inst)])
+    assert main([pipeline, "--instance", str(inst), "--out", str(rep), "--quiet"]) == 0
     obj = json.loads(rep.read_text())
     edit(obj)
     rep.write_text(json.dumps(obj))
