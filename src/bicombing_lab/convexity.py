@@ -286,8 +286,9 @@ class _CellCover:
     half-diagonal (h/2 n^(1/p)) is below r, less relative margins and the
     frame's slack: by the triangle inequality every sample in it then lies
     within r of the net, and a covered cell stays covered as the net grows.
-    Spaces without a frame, and grids whose cells are too coarse to certify,
-    get a cover with no cells.
+    Spaces without a frame, grids whose cells are too coarse to certify, and
+    cells as wide as the frame's ``gap`` (which could reach two of its
+    pieces) get a cover with no cells.
     """
 
     def __init__(self, space: BicombedSpace, seed_packed, r: float):
@@ -304,7 +305,7 @@ class _CellCover:
         half_diag = h / 2 * (1.0 if math.isinf(frame.p) else len(lo) ** (1.0 / frame.p))
         scale = max(np.abs(lo).max(), np.abs(hi).max())
         limit = r * (1 - m) - half_diag * (1 + m) - m * scale - frame.slack
-        if limit > 0:
+        if limit > 0 and h * (1 + m) < frame.gap:
             self.frame, self.lo, self.h, self.limit = frame, lo, h, limit
             self.cells = (np.floor((hi - lo) / h) + 1).astype(np.intp)
             self.dist = np.full(int(np.prod(self.cells)), np.inf)
@@ -393,13 +394,15 @@ def hull_closure(
     the net.  One cell cover (`_CellCover`), built from the seed, serves all
     rounds: it grids a box that is convex in the space and holds the seed,
     so it holds every sample in exact arithmetic.  The coordinates are the
-    packed rows on lp and l2 x l2 nets, and (x1, x2) on the
-    hyperboloid, where d_H <= |delta(x1, x2)|_2.  A cell's centre is queried
-    the first time a sample lands in it, and afterwards only against the
-    rows inserted since; a sample in a cell certified within eps/2 of the
-    net skips its query, and every other sample takes the exact
+    packed rows on lp and l2 x l2 nets, (x1, x2) on the hyperboloid, where
+    d_H <= |delta(x1, x2)|_2, and on metric trees one coordinate that lays
+    the edges out on a line, each in its own interval.  A cell's centre is
+    queried the first time a sample lands in it, and afterwards only against
+    the rows inserted since; a sample in a cell certified within eps/2 of
+    the net skips its query, and every other sample takes the exact
     ``index.min_dist(...) >= eps/2``, so the same samples are kept.  Other
-    spaces get a cover with no cells.  The net stays packed rows throughout:
+    spaces (products other than l2 x l2) get a cover with no cells.  The
+    net stays packed rows throughout:
     the kept samples, joined once per round, pass in canonical order
     (``canonical_rows``) through ``_greedy_separate``, whose keepers kill
     their later neighbours block by block, and the rows it accepts are

@@ -15,6 +15,7 @@ import numpy as np
 from .convexity import PointNet
 from .extremal import ExtremalParams
 from .model_spaces import (
+    MAX_TREE_NODES,
     MetricTreeSpec,
     NormedSpaceSpec,
     ProductSpaceSpec,
@@ -48,6 +49,20 @@ GEN_KINDS = (
     "product_demo",
     "random_points",
 )
+
+
+#: most numbers a generated seed may hold (about a 44^3 cube raster): a finer
+#: raster, a larger circle or more random points exhaust memory or time
+#: before any pipeline runs on them
+MAX_SEED_COORDINATES = 1 << 18
+
+
+def _check_seed_size(flag: str, points: float, width: int) -> None:
+    """Rejects a generator request whose seed would hold more than
+    MAX_SEED_COORDINATES numbers, naming the flag that sized it."""
+    if not points * width <= MAX_SEED_COORDINATES:
+        raise InvalidInputError(f"{flag} must give at most {MAX_SEED_COORDINATES} seed "
+                                f"coordinates, got {points * width:.6g}")
 
 
 class InstanceFormatError(InvalidInputError):
@@ -385,8 +400,10 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
         pts = [euclidean(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
         e = eps if eps is not None else step
     elif kind == "cube":
+        k = 1.0 / step
+        k = round(k) if k < MAX_SEED_COORDINATES else k  # k may be inf
+        _check_seed_size("step", (k + 1) * (k + 1) * (k + 1), 3)
         space = make_lp_space(NormedSpaceSpec(3, 2.0))
-        k = round(1.0 / step)
         axis = [round(i * step, 12) for i in range(k + 1)]
         pts = [euclidean(x, y, z) for x in axis for y in axis for z in axis]
         # resolution chosen so the raster itself is already segment-closed
@@ -420,7 +437,9 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
     elif kind == "disk":
         space = make_lp_space(NormedSpaceSpec(2, 2.0))
         e = eps if eps is not None else 0.1
-        count = max(8, math.ceil(2 * math.pi * radius / (e / 2)))
+        count = 2 * math.pi * radius / (e / 2)
+        _check_seed_size("radius and eps", count, 2)
+        count = max(8, math.ceil(count))
         pts = [
             euclidean(radius * math.cos(2 * math.pi * i / count),
                       radius * math.sin(2 * math.pi * i / count))
@@ -435,6 +454,8 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
                hyperboloid(c, s * costh, s * sinth)]
         e = eps if eps is not None else 0.1
     elif kind == "tree_leaves":
+        if leaves >= MAX_TREE_NODES:
+            raise InvalidInputError(f"leaves must be at most {MAX_TREE_NODES - 1}, got {leaves}")
         names = [f"l{i}" for i in range(leaves)]
         space = make_metric_tree(
             MetricTreeSpec(tuple(["c"] + names), tuple(("c", nm, 1.0) for nm in names))
@@ -447,6 +468,7 @@ def generate_instance(kind: str, *, step: float = 0.05, eps: float | None = None
         pts = [ProductPoint(euclidean(a), euclidean(b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
         e = eps if eps is not None else 0.1
     elif kind == "random_points":
+        _check_seed_size("n and dim", n, dim)
         space = make_lp_space(NormedSpaceSpec(dim, 2.0))
         rng = np.random.default_rng(rng_seed)
         pts = [euclidean(*[float(v) for v in rng.uniform(0, 1, dim)]) for _ in range(n)]

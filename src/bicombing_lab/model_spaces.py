@@ -372,14 +372,22 @@ class HyperbolicPlane(BicombedSpace):
         ts = np.asarray(ts, dtype=np.float64)
         d = _chord_dist(_minkowski_sq(X - Y))
         safe = np.where(d > 0.0, d, 1.0)
-        sd = np.sinh(safe)
-        a = np.sinh((1.0 - ts)[None, :] * safe[:, None]) / sd[:, None]
-        b = np.sinh(ts[None, :] * safe[:, None]) / sd[:, None]
-        Z = a[:, :, None] * X[:, None, :] + b[:, :, None] * Y[:, None, :]
+        sd = np.sinh(safe)[:, None]
+        a = np.sinh((1.0 - ts) * safe[:, None])
+        a /= sd
+        b = np.sinh(ts * safe[:, None])
+        b /= sd
+        Z = a[:, :, None] * X[:, None, :]
+        Z += b[:, :, None] * Y[:, None, :]
         degenerate = d == 0.0
         if degenerate.any():
             Z[degenerate] = X[degenerate][:, None, :]
-        nrm = np.sqrt(-_minkowski_sq(Z))
+        # -<z, z>_M summed in the order of _minkowski_sq: (-z0^2 + z1^2) + z2^2
+        nrm = Z[..., 1] * Z[..., 1]
+        nrm -= Z[..., 0] * Z[..., 0]
+        nrm += Z[..., 2] * Z[..., 2]
+        np.negative(nrm, out=nrm)
+        np.sqrt(nrm, out=nrm)
         Z /= nrm[:, :, None]
         return Z.reshape(len(I) * len(ts), 3)
 
@@ -467,6 +475,11 @@ _ROUTE_ENDS = (
 )
 
 
+#: most nodes a tree may have: its two node tables hold N^2 entries each
+#: (48 MB at this count)
+MAX_TREE_NODES = 2048
+
+
 def _edge_keys(P: dict) -> np.ndarray:
     """Complex keys edge + i*offset of packed tree points: numpy orders
     complex values by real part, then imaginary part, so they sort and
@@ -496,6 +509,9 @@ class TreeSpace(BicombedSpace):
         edges = [(str(u), str(v), float(w)) for u, v, w in spec.edges]
         if not nodes:
             raise InvalidInputError("tree must have at least one node")
+        if len(nodes) > MAX_TREE_NODES:
+            raise InvalidInputError(
+                f"a tree may have at most {MAX_TREE_NODES} nodes, got {len(nodes)}")
         if len(set(nodes)) != len(nodes):
             raise InvalidInputError("duplicate node identifiers")
         self._node_idx = {n: i for i, n in enumerate(nodes)}
@@ -682,6 +698,32 @@ class TreeSpace(BicombedSpace):
             np.minimum(best, near, out=best)
         return best
 
+    def cover_frame(self, packed):
+        """One coordinate u = edge * stride + offset, with stride the longest
+        edge plus the diameter: each edge fills its own interval of the line,
+        and the gaps between intervals are at least the diameter wide, so
+        d(x, y) <= |u(x) - u(y)|, with equality on one edge.  The box holds
+        every edge.  A row maps to the nearest point of the interval nearest
+        it (of the two beside a gap, the nearer one), moved to its canonical
+        edge where it is a node; cells narrower than the gap meet one
+        interval only, so that point lies on the edge of the cell's samples.
+        """
+        longest = float(self._len.max())
+        stride = longest + float(self._dist.max())
+        last = len(self.edges) - 1
+
+        def point(U):
+            u = U[:, 0]
+            e = np.clip(np.floor(u / stride), 0, last).astype(np.int64)
+            off = u - e * stride
+            # past edge e's end, nearer the start of edge e + 1
+            on = (off - self._len[e] > stride - off) & (e < last)
+            e, off = np.where(on, e + 1, e), np.where(on, 0.0, np.clip(off, 0.0, self._len[e]))
+            return np.column_stack(self._canonical(e, off))
+
+        return CoverFrame(lambda P: (P[:, 0] * stride + P[:, 1])[:, None], point, np.zeros(1),
+                          np.array([(last + 1) * stride]), 1.0, gap=stride - longest)
+
     def segment_batch(self, packed, I, J, ts):
         """Constant-speed walks along the connecting paths, all samples at
         once.  On one edge a sample is x + t (y - x), clamped to the edge.
@@ -689,43 +731,56 @@ class TreeSpace(BicombedSpace):
         their first leg stay on x's edge, also clamped to it, and samples past
         it walk their node paths in lockstep, one edge per step,
         each subtracting its edge lengths in path order.  Samples of x == y
-        stay x."""
-        ts = np.asarray(ts, dtype=np.float64)
-        PX = packed[np.repeat(np.asarray(I, dtype=np.int64), len(ts))]
-        PY = packed[np.repeat(np.asarray(J, dtype=np.int64), len(ts))]
-        X, Y = self._ends(PX), self._ends(PY)
-        t = np.tile(ts, len(I))
-        edge, off = X["edge"].copy(), X["off"].copy()  # x == y keeps x as it is
-        moving = np.nonzero((X["edge"] != Y["edge"]) | (X["off"] != Y["off"]))[0]
-        same = moving[X["edge"][moving] == Y["edge"][moving]]
-        off[same] = np.clip(X["off"][same] + t[same] * (Y["off"][same] - X["off"][same]),
-                            0.0, self._len[X["edge"][same]])
+        stay x.
 
-        far = moving[X["edge"][moving] != Y["edge"][moving]]
-        x, y = self._ends(PX[far]), self._ends(PY[far])
+        What depends only on the pair is resolved once per pair: its ends,
+        whether it moves and stays on one edge, its route terms, the least
+        one (the length L), its exit and entry nodes and legs.  Per sample
+        there remain s = t L, the first-leg test and the walk."""
+        ts = np.asarray(ts, dtype=np.float64)
+        n = len(ts)
+        X = self._ends(packed[np.asarray(I, dtype=np.int64)])
+        Y = self._ends(packed[np.asarray(J, dtype=np.int64)])
+        edge, off = np.repeat(X["edge"], n), np.repeat(X["off"], n)  # x == y keeps x as it is
+        one_edge = X["edge"] == Y["edge"]
+        moving = np.flatnonzero(~one_edge | (X["off"] != Y["off"]))
+
+        def samples(pairs):
+            """Sample rows of the given pairs, and the t of each."""
+            return (pairs[:, None] * n + np.arange(n)).ravel(), np.tile(ts, len(pairs))
+
+        same = moving[one_edge[moving]]
+        rows, t = samples(same)
+        x_off, y_off = np.repeat(X["off"][same], n), np.repeat(Y["off"][same], n)
+        off[rows] = np.clip(x_off + t * (y_off - x_off), 0.0,
+                            np.repeat(self._len[X["edge"][same]], n))
+
+        far = np.flatnonzero(~one_edge)
+        x, y = ({key: v[far] for key, v in E.items()} for E in (X, Y))
         routes = np.stack(list(self._route_terms(x, y)))
         k = routes.argmin(axis=0)
-        s = t[far] * routes[k, np.arange(len(far))]
-        exit_is_tail = k < 2
-        leg = np.where(exit_is_tail, x["to_tail"], x["to_head"])
+        exit_is_tail, entry_is_tail = k < 2, k % 2 == 0
+        rows, t = samples(far)
+        s = t * np.repeat(routes[k, np.arange(len(far))], n)
+        leg = np.repeat(np.where(exit_is_tail, x["to_tail"], x["to_head"]), n)
         near = s <= leg
+        x_off = np.repeat(x["off"], n)
         # x + s can round past the head even though s <= to_head: clamp it
-        ahead = np.minimum(x["off"] + s, self._len[x["edge"]])
-        off[far[near]] = np.where(exit_is_tail, x["off"] - s, ahead)[near]
+        ahead = np.minimum(x_off + s, np.repeat(self._len[x["edge"]], n))
+        off[rows[near]] = np.where(np.repeat(exit_is_tail, n), x_off - s, ahead)[near]
 
         walk = ~near
-        idx, s = far[walk], (s - leg)[walk]
-        node = np.where(exit_is_tail, x["tail"], x["head"])[walk]
-        entry_is_tail = k % 2 == 0
-        entry = np.where(entry_is_tail, y["tail"], y["head"])[walk]
-        final_leg = np.where(entry_is_tail, y["to_tail"], y["to_head"])[walk]
-        entry_is_tail = entry_is_tail[walk]
+        idx, s = rows[walk], (s - leg)[walk]
+        node = np.repeat(np.where(exit_is_tail, x["tail"], x["head"]), n)[walk]
+        entry = np.repeat(np.where(entry_is_tail, y["tail"], y["head"]), n)[walk]
+        final_leg = np.repeat(np.where(entry_is_tail, y["to_tail"], y["to_head"]), n)[walk]
+        entry_is_tail = np.repeat(entry_is_tail, n)[walk]
         while len(idx):
             arrived = node == entry
             if arrived.any():
                 a = idx[arrived]
                 last = np.minimum(s[arrived], final_leg[arrived])
-                edge[a] = Y["edge"][a]
+                edge[a] = Y["edge"][a // n]
                 off[a] = np.where(entry_is_tail[arrived], last, self._len[edge[a]] - last)
                 on = ~arrived
                 idx, s, node, entry, entry_is_tail, final_leg = (
@@ -742,7 +797,8 @@ class TreeSpace(BicombedSpace):
                 v[on] for v in (idx, s - w, node, entry, entry_is_tail, final_leg)
             )
 
-        edge[moving], off[moving] = self._canonical(edge[moving], off[moving])
+        rows = samples(moving)[0]
+        edge[rows], off[rows] = self._canonical(edge[rows], off[rows])
         return np.column_stack([edge, off])
 
     def chord_dists(self, packed, I, J, ts, targets):

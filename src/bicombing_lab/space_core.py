@@ -146,7 +146,10 @@ class CoverFrame:
     The box [lo, hi] is convex in the space and holds the seed, so it holds
     the seed's hull.  ``slack`` bounds the sum of the rounding in two of the
     space's computed nearest distances, where it exceeds the cover's relative
-    margins.
+    margins.  Where the points fill only pieces of R^n, ``point`` maps a row
+    to the point whose row is nearest it, and ``gap`` is the least distance
+    between two pieces: cells must be narrower than it, so that a cell's
+    samples and its centre's point lie on one piece.
     """
 
     coords: Callable
@@ -155,6 +158,7 @@ class CoverFrame:
     hi: np.ndarray
     p: float
     slack: float = 0.0
+    gap: float = float("inf")
 
 
 #: slack added to the chord alignment filter so float rounding in distances can

@@ -224,6 +224,14 @@ def test_hull_queries_under_a_tenth_of_samples(hplane):
     assert dataclasses.replace(res, samples=0, queried=0) == res
 
 
+def test_star_hull_queries_under_a_tenth_of_samples():
+    # trees have a cell cover too: without one every sample took a query
+    inst = generate_instance("tree_leaves")
+    space = build_space(inst.space)
+    res = hull_closure(space, PointNet.build(space, inst.seed_points, inst.params.eps))
+    assert 0 < res.queried < res.samples / 10
+
+
 # ---------------------------------------------------------------------------
 # pair scans
 # ---------------------------------------------------------------------------
@@ -941,6 +949,90 @@ def _hyp_cover_queries(P, r, rng):
     return np.vstack(parts)
 
 
+def _random_cover_tree(nodes, seed):
+    """Random recursive tree: node i hangs off a uniformly drawn earlier node
+    by an edge of length in [0.1, 1.3), stored head-first about half the time."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(nodes)]
+    edges = []
+    for i in range(1, nodes):
+        parent, w = names[int(rng.integers(0, i))], float(rng.uniform(0.1, 1.3))
+        edges.append((parent, names[i], w) if rng.random() < 0.5 else (names[i], parent, w))
+    return make_metric_tree(MetricTreeSpec(tuple(names), tuple(edges)))
+
+
+#: trees of the cover cases: the unit star, a star with uneven edges (the
+#: edge intervals of its cover do not start on cell boundaries) and a random
+#: tree whose diameter is several edges long
+_COVER_TREES = {
+    "star": lambda: star_tree(3),
+    "uneven_star": lambda: make_metric_tree(MetricTreeSpec(
+        ("c", "a", "b", "d"), (("c", "a", 0.7), ("c", "b", 1.3), ("c", "d", 0.45)))),
+    "random_tree": lambda: _random_cover_tree(12, 53),
+}
+
+
+def _tree_rows(tree, edge, off):
+    """Packed canonical tree points at the given edges and offsets, the
+    offsets clipped to their edges."""
+    edge = np.asarray(edge, dtype=np.int64)
+    return np.column_stack(tree._canonical(edge, np.clip(off, 0.0, tree._len[edge])))
+
+
+def _tree_cover_net(case, rng):
+    """(tree, net rows, r) for the tree cover cases: each edge's head and
+    four points at offsets from 3r (or half the edge) to the head, so that
+    the stars' leaves are in the net and their centre is far from it."""
+    tree = _COVER_TREES[case]()
+    r = {"star": 0.037, "uneven_star": 0.037, "random_tree": 0.041}[case]
+    edge = np.repeat(np.arange(len(tree.edges)), 5)
+    length = tree._len[edge]
+    off = np.where(np.arange(len(edge)) % 5, rng.uniform(np.minimum(3 * r, length / 2), length),
+                   length)
+    P = _tree_rows(tree, edge, off)
+    return tree, P[canonical_rows(P)], r
+
+
+def _tree_cover_queries(tree, P, r, rng):
+    """Tree points: uniform ones, a crowd within 3r of the edges' ends, the
+    nodes, segment samples between net points, probes at distance r along
+    the edge from net points, and the points on cell boundaries (side r/4)
+    within 3r of an edge's end, each with its float neighbours in offset."""
+    n_edges = len(tree.edges)
+    length = tree._len
+    e = rng.integers(0, n_edges, 8000)
+    near = rng.uniform(0, 3 * r, 4000)
+    parts = [_tree_rows(tree, e[:4000], rng.uniform(0, length[e[:4000]])),
+             _tree_rows(tree, e[4000:], np.where(rng.random(4000) < 0.5, near,
+                                                 length[e[4000:]] - near)),
+             _tree_rows(tree, np.arange(n_edges).repeat(2), np.c_[np.zeros(n_edges), length].ravel())]
+    I, J = rng.integers(len(P), size=(2, 300))
+    parts.append(tree.segment_batch(P, I, J, np.arange(1, 8) / 8))
+    h, start = r / 4, tree.cover_frame(P).coords(_tree_rows(tree, np.arange(n_edges),
+                                                            np.zeros(n_edges)))[:, 0]
+    probes = [P[:, 1] - r, P[:, 1] + r]
+    edges = [P[:, 0], P[:, 0]]
+    for k in range(n_edges):
+        for a, b in ((0.0, 3 * r), (length[k] - 3 * r, length[k])):
+            cells = np.arange(np.ceil((start[k] + a) / h), np.floor((start[k] + b) / h) + 1)
+            probes.append(cells * h - start[k])
+            edges.append(np.full(len(cells), k))
+    probe = np.column_stack([np.concatenate(edges), np.concatenate(probes)])
+    for moved in _float_neighbours(probe, [1]):
+        parts.append(_tree_rows(tree, moved[:, 0], moved[:, 1]))
+    return np.vstack(parts)
+
+
+def _far_rows_case(kind, case, rng):
+    """(space, net rows, r, queries) of a far_rows case."""
+    if kind == "tree":
+        space, P, r = _tree_cover_net(case, rng)
+        return space, P, r, _tree_cover_queries(space, P, r, rng)
+    P, r = _cover_net(case, rng)
+    Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
+    return _cover_space(kind, P.shape[1]), P, r, Q
+
+
 def _cover_space(kind, n):
     """The space of a far_rows case, whose packed rows are the net's rows: the
     l2 x l2 product splits the coordinates between its factors."""
@@ -960,6 +1052,7 @@ _FAR_ROWS_CASES = [(kind, case) for case in ("random", "raster", "collinear", "l
 # l2 the cell centres sit too far off the line to certify, in linf they do not
 _FAR_ROWS_CASES += [(2.0, "flat30"), ("l2xl2", "flat30"), (math.inf, "flat20")]
 _FAR_ROWS_CASES += [("hyp", case) for case in ("triangle", "far", "offsheet")]
+_FAR_ROWS_CASES += [("tree", case) for case in _COVER_TREES]
 
 
 def _kind_id(kind):
@@ -972,9 +1065,7 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
     seeds = range(40) if case == "line" else [51]
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        P, r = _cover_net(case, rng)
-        Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
-        space = _cover_space(kind, P.shape[1])
+        space, P, r, Q = _far_rows_case(kind, case, rng)
         index = space.make_index(P)
         want = np.nonzero(index.min_dist(Q) >= r)[0]
         assert 0 < len(want) < len(Q)
@@ -998,15 +1089,16 @@ def test_far_rows_match_min_dist(kind, case, monkeypatch):
             assert queried[-1] < len(Q)  # after the cell centres, the rows left open
 
 
-@pytest.mark.parametrize("kind", [2.0, "l2xl2", "hyp"], ids=_kind_id)
+@pytest.mark.parametrize("kind", [2.0, "l2xl2", "hyp", *_COVER_TREES], ids=_kind_id)
 def test_cover_persists_across_inserts(kind):
     # one cover, built from the first third of a net, answers for the net
     # grown by the other two thirds as a fresh index does, and the rows
     # inserted certify cells that a sample visited while they were open
     rng = np.random.default_rng(52)
-    P, r = _cover_net("triangle" if kind == "hyp" else "random", rng)
-    Q = (_hyp_cover_queries if kind == "hyp" else _cover_queries)(P, r, rng)
-    space = _cover_space(kind, P.shape[1])
+    if kind in _COVER_TREES:
+        space, P, r, Q = _far_rows_case("tree", kind, rng)
+    else:
+        space, P, r, Q = _far_rows_case(kind, "triangle" if kind == "hyp" else "random", rng)
     batches = np.array_split(P[rng.permutation(len(P))], 3)
     cover = _CellCover(space, batches[0], r)
     certified = []
@@ -1019,6 +1111,48 @@ def test_cover_persists_across_inserts(kind):
         want = np.nonzero(index.min_dist(Q) >= r)[0]
         np.testing.assert_array_equal(cover.far_rows(Q, index), want)
     assert min(certified) > 0
+
+
+@pytest.mark.parametrize("case", list(_COVER_TREES))
+def test_tree_cover_frame_bounds_distances(case):
+    # d(x, y) <= |u(x) - u(y)| for every pair, with equality on one edge:
+    # the gap between two edges' intervals is at least the tree's diameter
+    rng = np.random.default_rng(54)
+    tree, P, r = _tree_cover_net(case, rng)
+    Q = _tree_cover_queries(tree, P, r, rng)[rng.permutation(8000)[:600]]
+    U = tree.cover_frame(P).coords(Q)[:, 0]
+    D, dU = tree.dist_matrix(Q, Q), np.abs(U[:, None] - U[None, :])
+    tol = 1e-12 * np.abs(U).max()
+    assert (D <= dU + tol).all()
+    one_edge = Q[:, None, 0] == Q[None, :, 0]
+    assert one_edge.sum() > len(Q) and np.allclose(D[one_edge], dU[one_edge], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("case", list(_COVER_TREES))
+def test_tree_cover_cells_hold_their_samples_close(case):
+    # at every radius, a cell's centre maps to a point within half a cell of
+    # each sample in the cell (on the sample's edge), which is what lets the
+    # cell certify them.  Cells as wide as the gap between two edges'
+    # intervals could reach both, so those radii get no cells; radii that
+    # make the cells between one and two diameters wide, where a centre on
+    # the wrong edge would lie more than half a cell from a sample, are
+    # swept densely
+    rng = np.random.default_rng(55)
+    tree, P, _ = _tree_cover_net(case, rng)
+    diameter = float(tree._dist.max())
+    Q = np.vstack([_tree_cover_queries(tree, P, r, rng) for r in (0.05, 0.3, diameter)])
+    gap, with_cells = tree.cover_frame(P).gap, 0
+    for r in np.r_[np.geomspace(0.01, 4 * diameter, 40), np.linspace(4 * gap, 8 * diameter, 150)]:
+        cover = _CellCover(tree, P, r)
+        if cover.dist is None:
+            assert r / 4 * (1 + 1e-9) >= gap
+            continue
+        with_cells += 1
+        cells = cover._cells(cover.frame.coords(Q))
+        assert (cells >= 0).all()
+        d = tree.paired_dist(Q, cover._centres(cells))
+        assert (d <= cover.h / 2 * (1 + 1e-9) + 1e-12 * float(cover.frame.hi[0])).all()
+    assert with_cells >= 39
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +82,38 @@ def test_generate_rejects_negative_seed(kind):
 def test_generate_rejects_out_of_range_sizes(kind, field, value):
     with pytest.raises(InvalidInputError, match=f"^{field} must be positive, got {value}$"):
         generate_instance(kind, **{field: value})
+
+
+@pytest.mark.parametrize("kind, options, message", [
+    ("cube", {"step": 1e-3}, "step must give at most 262144 seed coordinates, got 3.00901e+09"),
+    ("cube", {"step": 5e-324}, "step must give at most 262144 seed coordinates, got inf"),
+    ("disk", {"radius": 1e300}, "radius and eps must give at most 262144 seed coordinates"),
+    ("disk", {"eps": 1e-9}, "radius and eps must give at most 262144 seed coordinates"),
+    ("random_points", {"n": 10**9}, "n and dim must give at most 262144 seed coordinates"),
+    ("random_points", {"n": 2, "dim": 10**9}, "n and dim must give at most"),
+    ("tree_leaves", {"leaves": 100000}, "leaves must be at most 2047, got 100000"),
+])
+def test_generate_rejects_oversized_seeds(kind, options, message):
+    # the seed's size is checked before any list or table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+            generate_instance(kind, **options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_generate_largest_seeds_load(tmp_path):
+    # the largest cube raster and star within the caps, and every default
+    cube = generate_instance("cube", step=1 / 43)
+    assert len(cube.seed_points) == 44 ** 3
+    star = generate_instance("tree_leaves", leaves=2047)
+    assert len(star.space["nodes"]) == 2048
+    for kind in GEN_KINDS:
+        assert main(["gen", kind, "--out", str(tmp_path / f"{kind}.json")]) == 0
+        load_instance(str(tmp_path / f"{kind}.json"))
 
 
 @pytest.mark.parametrize("side", [30.0, 400.0, 1000.0])
@@ -356,6 +390,10 @@ _OUT_OF_RANGE_CASES = {
                        "seed_points[0]: EuclideanPoint"),
     "seed-point-off-sheet": (["hull"], "hyp_triangle", _set_coords(1, [1.0, 1.0, 0.0]),
                              "seed_points[1]: point off the unit hyperboloid"),
+    # 2049 nodes: rejected before the node tables (2049^2 entries each) are built
+    "tree-nodes": (["hull"], "tree_leaves",
+                   lambda obj: obj["space"]["nodes"].extend(f"x{i}" for i in range(2045)),
+                   "space: a tree may have at most 2048 nodes, got 2049"),
 }
 
 
@@ -378,6 +416,12 @@ def test_cli_rejects_out_of_range_input(case, tmp_path, capsys):
     (["hyp_triangle", "--side", "30"], "side"),
     (["hyp_triangle", "--side", "400"], "side"),
     (["hyp_triangle", "--side", "1000"], "side"),
+    (["cube", "--step", "1e-3"], "step must give at most 262144 seed coordinates"),
+    (["disk", "--radius", "1e300"], "radius and eps must give at most"),
+    (["disk", "--eps", "1e-9"], "radius and eps must give at most"),
+    (["random_points", "--n", "1000000000"], "n and dim must give at most"),
+    (["random_points", "--dim", "1000000000"], "n and dim must give at most"),
+    (["tree_leaves", "--leaves", "100000"], "leaves must be at most 2047, got 100000"),
 ])
 def test_cli_gen_rejects_bad_flags(argv, name, tmp_path, capsys):
     # the first three used to crash with a traceback; the next two wrote
@@ -385,7 +429,9 @@ def test_cli_gen_rejects_bad_flags(argv, name, tmp_path, capsys):
     # the circle from (-1, 0), radius 0 wrote copies of the origin, and the
     # empty and zero-dimensional kinds failed naming no field.  Triangle
     # sides of 30, 400 and 1000 failed on the sheet check, on a nan
-    # coordinate and in math.cosh
+    # coordinate and in math.cosh.  The oversized requests crashed in numpy
+    # (100001^2 node tables), ran for ever (a circle of 2.5e302 points) or
+    # would have built 10^9 seed points
     out = tmp_path / "out.json"
     assert main(["gen", *argv, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err

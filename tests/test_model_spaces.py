@@ -678,3 +678,103 @@ def test_product_axioms_tree_times_hyperbolic(star3, hplane):
     quads = [tuple(rnd() for _ in range(4)) for _ in range(50)]
     rep = check_axioms(prod, quads, grid=16, tol=1e-7)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# segment kernels, byte for byte
+# ---------------------------------------------------------------------------
+
+
+#: digests of ``segment_batch`` outputs recorded at commit 17fae05, before the
+#: tree kernel was reworked to resolve each pair once and the hyperbolic one
+#: to form its samples in place; they keep the reworked kernels
+#: byte-identical to the old ones.  The hyperbolic
+#: samples go through numpy's sinh, arcsinh and sqrt, so another numpy may
+#: need them re-recorded from that commit.
+SEGMENT_DIGESTS = {
+    "hyperbolic": "9c3ec7e2b25a5ca56a6662e8eb2ca1a4c6bdc3da05497303dd269700d9987091",
+    "star_x_line": "e813bc980cec6e464ec9614dedaf4eeb3b8439e1c6d47ceab62119b55950ef42",
+}
+
+_EIGHTHS = np.arange(9) / 8
+
+
+def _lift(X):
+    """Sheet points with projected coordinates X = (x1, x2)."""
+    return np.column_stack([np.sqrt(1.0 + (X * X).sum(axis=1)), X])
+
+
+def _hyperbolic_segment_case():
+    """(packed, I, J): random pairs of 120 points out to radius 3, 40 pairs of
+    points 1e-9 to 1e-5 apart (their chord squares cancel), x == y pairs, and
+    pairs of points boosted out to x0 of about 30."""
+    rng = np.random.default_rng(41)
+    hplane = make_hyperbolic_plane()
+    P = hplane.pack([hyperbolic_point_at(r, th) for r, th in
+                     zip(rng.uniform(0, 3, 120), rng.uniform(0, 2 * math.pi, 120))])
+    moved = 10.0 ** rng.uniform(-9, -5, (40, 1)) * rng.standard_normal((40, 2))
+    near = _lift(P[:40, 1:] + moved)
+    small = hplane.pack([hyperbolic_point_at(r, th) for r, th in
+                         zip(rng.uniform(0, 0.3, 40), rng.uniform(0, 2 * math.pi, 40))])
+    boosted = small @ lorentz_boost(math.acosh(30.0)).T
+    packed = np.vstack([P, near, boosted])
+    I = np.concatenate([rng.integers(0, 120, 200), np.arange(40), np.arange(30), 160 + np.arange(40)])
+    J = np.concatenate([rng.integers(0, 120, 200), 120 + np.arange(40), np.arange(30),
+                        160 + rng.permutation(40)])
+    return packed, I, J
+
+
+def _star_x_line_segment_case():
+    """(space, packed, I, J) on the 3-leaf star x line: random pairs with a
+    fifth of the tree points at nodes, same-edge pairs and x == y pairs."""
+    star = star_tree(3)
+    space = make_product(ProductSpaceSpec(star, make_lp_space(NormedSpaceSpec(1, 2.0))))
+    rng = np.random.default_rng(42)
+    pts = [ProductPoint(t, euclidean(x))
+           for t, x in zip(_tree_points(star, 80, seed=43), rng.uniform(-1, 1, 80))]
+    packed = space.pack(pts)
+    same = [(i, j) for i in range(80) for j in range(80)
+            if i != j and pts[i].left.edge == pts[j].left.edge][::40]
+    I = np.concatenate([rng.integers(0, 80, 200), [i for i, _ in same], np.arange(20)])
+    J = np.concatenate([rng.integers(0, 80, 200), [j for _, j in same], np.arange(20)])
+    return space, packed, I, J
+
+
+def test_hyperbolic_segment_batch_digest():
+    packed, I, J = _hyperbolic_segment_case()
+    S = make_hyperbolic_plane().segment_batch(packed, I, J, _EIGHTHS)
+    assert S.shape == (len(I) * len(_EIGHTHS), 3)
+    assert _digest(S) == SEGMENT_DIGESTS["hyperbolic"]
+
+
+def test_star_x_line_segment_batch_digest():
+    # the tree factor receives column views of the packed product rows
+    space, packed, I, J = _star_x_line_segment_case()
+    S = space.segment_batch(packed, I, J, _EIGHTHS)
+    assert _digest(S) == SEGMENT_DIGESTS["star_x_line"]
+
+
+@pytest.mark.parametrize("name", ["l2", "linf", "hyperbolic", "random_tree", "star_x_line"])
+def test_segment_batch_is_batch_independent(name, random_tree):
+    """A batch's samples are the concatenation of its one-pair calls, byte for
+    byte: the extremal first pass and the scan confirm samples that another
+    batch formed."""
+    rng = np.random.default_rng(44)
+    if name == "hyperbolic":
+        space = make_hyperbolic_plane()
+        packed, I, J = _hyperbolic_segment_case()
+    elif name == "star_x_line":
+        space, packed, I, J = _star_x_line_segment_case()
+    elif name == "random_tree":
+        space = random_tree
+        packed = space.pack(_tree_points(space, 150, seed=45))
+        I, J = rng.integers(0, 150, (2, 200))
+        J[:20] = I[:20]
+    else:
+        space = make_lp_space(NormedSpaceSpec(3, 2.0 if name == "l2" else math.inf))
+        packed = rng.uniform(-1, 1, (100, 3))
+        I, J = rng.integers(0, 100, (2, 200))
+        J[:20] = I[:20]
+    S = space.segment_batch(packed, I, J, _EIGHTHS)
+    one = [space.segment_batch(packed, I[k : k + 1], J[k : k + 1], _EIGHTHS) for k in range(len(I))]
+    assert S.tobytes() == np.concatenate(one).tobytes()
