@@ -22,9 +22,12 @@ set's is a crossing, tried on the candidates in row-major pair order, so the
 witness is the first crossing pair of the full pair order.
 
 extremal_points runs that scan only on the points a batched first pass
-(`_first_pass`) leaves alive.  The pass tries a few chords per point at once,
+(`_first_pass`) leaves open.  The pass tries a few chords per point at once,
 fitted from the net's distance rows, and kills a point only on a chord the
-scan would accept too, so the survivors are those of the scan alone.
+scan would accept too.  On linear nets it also proves points extremal from
+the same rows: a halfspace that holds every row beyond delta and misses the
+point by more than eps in the dual norm holds every chord the scan could
+evaluate (`_supported`).  So the survivors are those of the scan alone.
 """
 
 from __future__ import annotations
@@ -187,12 +190,14 @@ class ExtremalScan:
     """Batch extremal detection outcome: the rows of the scanned net that
     survive, and their sub-net, taken once.  Empty results carry a diagnostic
     instead of raising, since emptiness signals a discretization failure.
-    pass_killed counts the targets the first pass killed; no report holds it."""
+    pass_killed and pass_proven count the targets the first pass killed and
+    proved extremal; no report holds them."""
 
     rows: np.ndarray
     survivors: PointNet
     diagnostic: str | None
     pass_killed: int
+    pass_proven: int
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -217,27 +222,97 @@ _PASS_XS = 4
 _PASS_BAND = 1e-9
 
 
-def _first_pass(space: BicombedSpace, C: PointNet, params: ExtremalParams) -> np.ndarray:
-    """Mask of the stored points that one batched sweep proves non-extremal.
+def _dual_exponent(p: float) -> float:
+    """p* with 1/p + 1/p* = 1 (1 and inf swap)."""
+    if p == 1.0:
+        return math.inf
+    return 1.0 if math.isinf(p) else p / (p - 1.0)
 
-    Each target q tries one chord per (x, t): x among the _PASS_XS eligible
-    rows nearest q, t >= 1/2 on the grid, and y the eligible row whose
-    distances best fit q = [x, y](t), the y minimising
+
+def _dual_norms(n: np.ndarray, p: float) -> np.ndarray:
+    """Row norms of n in the dual exponent of p.  Each row is divided by its
+    largest absolute entry first: near p = 1 the dual exponent is large
+    (about 10^4 at p = 1.0001), and the powers of the raw entries would
+    underflow to 0 below 1 or overflow above it."""
+    s = np.abs(n).max(axis=1)
+    unit = n / np.where(s > 0.0, s, 1.0)[:, None]
+    return s * np.linalg.norm(unit, ord=_dual_exponent(p), axis=1)
+
+
+def _proof_margin(eps: float, scale: float) -> float:
+    """Least distance, per unit of the dual norm of n, by which a supporting
+    halfspace <n, .> <= h must miss a target to prove it: eps beyond the
+    band, plus the band times the net's largest absolute coordinate for the
+    rounding of chord samples and of the products with n."""
+    return eps * (1.0 + _PASS_BAND) + _PASS_BAND * scale
+
+
+def _supported(space: BicombedSpace, P: np.ndarray, Q: np.ndarray, Dq: np.ndarray,
+               params: ExtremalParams) -> np.ndarray:
+    """Which targets Q of a linear net (``space.linear_p``) a supporting
+    halfspace proves extremal, from their distance rows Dq.
+
+    The rows beyond delta (1 - band) of q hold every row the scan may count
+    as eligible for q.  With n = q - their mean and h = max <n, y> over
+    them, every chord sample of two such rows lies in <n, .> <= h, so by
+    Hoelder it lies at least (<n, q> - h) / ||n||_* from q, the dual norm of
+    the space's p.  Where that exceeds eps (by `_proof_margin`), no chord the
+    scan evaluates hits q, and q survives the scan.
+    """
+    rows = Dq > params.delta * (1.0 - _PASS_BAND)
+    W = rows.astype(np.float64)
+    n = P[Q] - (W @ P) / np.maximum(W.sum(axis=1), 1.0)[:, None]
+    h = np.where(rows, n @ P.T, -np.inf).max(axis=1)
+    gap = (n * P[Q]).sum(axis=1) - h
+    dual = _dual_norms(n, space.linear_p)
+    return gap > dual * _proof_margin(params.eps, float(np.abs(P).max()))
+
+
+def _first_pass(space: BicombedSpace, C: PointNet, params: ExtremalParams) -> np.ma.MaskedArray:
+    """Mask of the stored points that one batched sweep proves non-extremal,
+    with the points it proves extremal masked out.
+
+    On linear nets a target whose distance row gives it a supporting
+    halfspace (`_supported`) is proven and takes no chords.  Each other
+    target q tries one chord per (x, t): x among the _PASS_XS eligible rows
+    nearest q, t >= 1/2 on the grid, and y the eligible row whose distances
+    best fit q = [x, y](t), the y minimising
     |t d(x,y) - d(x,q)| + |t d(q,y) - (1-t) d(x,q)|.  Every such chord is
     evaluated at every interior t, with its ends in stored order as the scan
     evaluates it.  A kill is a chord the scan counts as eligible and hitting
     (by _PASS_BAND), and its chord finder proposes every such chord, so the
     scan would kill q as well: no survivor moves.
+
+    Targets go in row blocks of at most BLOCK_ENTRIES // 4 entries of
+    distance rows (m per x) and fitted parameters (len(ts) per x), and their
+    chords in chunks of at most as many samples, so memory stays bounded at
+    any t_grid.
+
+    The result is a masked bool array: its data marks the killed targets and
+    its mask the proven ones, read with np.ma.getdata and np.ma.getmaskarray.
+    Proven targets are dropped from their block before any chord is tried,
+    so they are never killed and their data is False; reductions such as
+    .any(), .sum() and np.flatnonzero, which skip masked entries, therefore
+    count the killed targets exactly as on the data.  A plain bool array
+    (no mask) proves nothing.
     """
     P, m = C.packed, len(C)
     ts = params.interior_ts()
     far = params.delta * (1.0 + _PASS_BAND)
     k = min(_PASS_XS, m)
     killed = np.zeros(m, dtype=bool)
-    per_block = max(1, BLOCK_ENTRIES // 4 // max(m * k, 1))
+    proven = np.zeros(m, dtype=bool)
+    per_block = max(1, BLOCK_ENTRIES // 4 // max(k * max(m, len(ts)), 1))
+    per_chunk = max(1, BLOCK_ENTRIES // 4 // len(ts))
     for lo in range(0, m, per_block):
         Q = np.arange(lo, min(lo + per_block, m))
         Dq = space.dist_matrix(P[Q], P)
+        if space.linear_p is not None:
+            proven[Q] = _supported(space, P, Q, Dq, params)
+            open_ = ~proven[Q]
+            Q, Dq = Q[open_], Dq[open_]
+            if not len(Q):
+                continue
         elig = Dq > far
         xs = np.argpartition(np.where(elig, Dq, np.inf), k - 1, axis=1)[:, :k]
         ux, inv = np.unique(xs, return_inverse=True)
@@ -260,10 +335,12 @@ def _first_pass(space: BicombedSpace, C: PointNet, params: ExtremalParams) -> np
         keep = np.take_along_axis(elig, xs, axis=1)[:, :, None] & (X != Y)
         qs = np.broadcast_to(Q[:, None, None], X.shape)[keep]
         I, J = np.minimum(X, Y)[keep], np.maximum(X, Y)[keep]
-        S = space.segment_batch(P, I, J, ts)
-        d = space.paired_dist(S, P[np.repeat(qs, len(ts))]).reshape(len(I), len(ts))
-        killed[qs[(d < params.eps * (1.0 - _PASS_BAND)).any(axis=1)]] = True
-    return killed
+        for c in range(0, len(I), per_chunk):
+            rows = slice(c, c + per_chunk)
+            S = space.segment_batch(P, I[rows], J[rows], ts)
+            d = space.paired_dist(S, P[np.repeat(qs[rows], len(ts))]).reshape(-1, len(ts))
+            killed[qs[rows][(d < params.eps * (1.0 - _PASS_BAND)).any(axis=1)]] = True
+    return np.ma.MaskedArray(killed, mask=proven)
 
 
 def extremal_points(
@@ -271,34 +348,36 @@ def extremal_points(
 ) -> ExtremalScan:
     """All stored points of C passing the chord-crossing extremality test.
 
-    First one batched pass over every stored point (`_first_pass`) kills the
-    points it finds a hitting chord for, a few fitted chords per point.  Each
-    point it leaves alive is then scanned as is_extremal_point scans a query
-    point, through the net's one chord finder.  In lp spaces and l^2 x l^2
-    products its candidate step is one reflected-endpoint ball query per
-    (x, t); in every other space it is the alignment filter over one dense
-    distance matrix of C.  A point survives when no candidate chord confirms.
-    The pass kills only points the full scan kills too, so the survivors are
-    those of the full scan alone.
+    First one batched pass over every stored point (`_first_pass`) settles
+    what it can: on linear nets it proves the points a supporting halfspace
+    separates from every chord beyond delta, and it kills the points it
+    finds a hitting chord for, a few fitted chords per point.  Each point it
+    leaves open is then scanned as is_extremal_point scans a query point,
+    through the net's one chord finder.  In lp spaces and l^2 x l^2 products
+    its candidate step is one reflected-endpoint ball query per (x, t); in
+    every other space it is the alignment filter over one dense distance
+    matrix of C.  A point survives when it is proven or no candidate chord
+    confirms.  The pass settles only points the full scan settles the same
+    way, so the survivors are those of the full scan alone.
     """
     if C.space is not space:
         raise InvalidInputError("net belongs to a different space")
-    killed = _first_pass(space, C, params)
-    rows = []
-    for pi in np.flatnonzero(~killed):
+    settled = _first_pass(space, C, params)
+    killed, proven = np.ma.getdata(settled), np.ma.getmaskarray(settled)
+    keep = proven.copy()
+    for pi in np.flatnonzero(~(killed | proven)):
         target = C.packed[pi : pi + 1]
         d_to_p = space.dist_matrix(C.packed, target)[:, 0]
-        if _first_chord(space, C, target, d_to_p, params) is None:
-            rows.append(pi)
+        keep[pi] = _first_chord(space, C, target, d_to_p, params) is None
 
     diagnostic = None
-    if not rows:
+    rows = np.flatnonzero(keep)
+    if not len(rows):
         diagnostic = (
             "no extremal points at this discretization; a compact convex set "
             "always has some, so retry with smaller eps or a tighter hit radius"
         )
-    rows = np.array(rows, dtype=np.int64)
-    return ExtremalScan(rows, C.take(rows), diagnostic, int(killed.sum()))
+    return ExtremalScan(rows, C.take(rows), diagnostic, int(killed.sum()), int(proven.sum()))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ against independent oracles, farthest-point descent."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,134 @@ def test_first_pass_kills_only_what_the_scan_kills(case, monkeypatch):
     alone = extremal_points(space, C, params)
     assert alone.pass_killed == 0
     assert np.array_equal(scan.rows, alone.rows)
+
+
+#: PASS_CASES plus an l^3 ball, whose supporting halfspaces use the dual
+#: exponent 3/2, and balls near p = 1, whose dual exponents (about 10^3 and
+#: 10^4) underflow the powers of entries below 1 unless rows are rescaled
+PROOF_CASES = {
+    **PASS_CASES,
+    "l3-ball": {"kind": "lp_ball", "p": 3.0},
+    "l1.001-ball": {"kind": "lp_ball", "p": 1.001},
+    "l1.0001-ball": {"kind": "lp_ball", "p": 1.0001},
+}
+
+
+@pytest.mark.parametrize("case", list(PROOF_CASES))
+def test_first_pass_proves_only_what_the_scan_keeps(case, monkeypatch):
+    """Every target the first pass proves extremal by a supporting halfspace
+    survives the per-target scan; curved nets prove none.  The proven
+    targets take no chords, so none is also killed, and extremal_points
+    keeps the rows of the scan alone."""
+    gen = PROOF_CASES[case]
+    if callable(gen):
+        space, seed, params = gen()
+    else:
+        inst = generate_instance(**gen)
+        space = inst.build_space()
+        seed, params = inst.seed_net(space), inst.params.extremal_params()
+    C = hull_closure(space, seed).net
+    settled = extremal._first_pass(space, C, params)
+    proven = np.ma.getmaskarray(settled)
+    assert not (proven & np.ma.getdata(settled)).any()
+    if space.linear_p is None:
+        assert not proven.any()
+    else:
+        assert proven.any()
+    for pi in np.flatnonzero(proven):
+        target = C.packed[pi : pi + 1]
+        d_to_p = space.dist_matrix(C.packed, target)[:, 0]
+        assert extremal._first_chord(space, C, target, d_to_p, params) is None
+    scan = extremal_points(space, C, params)
+    assert scan.pass_proven == proven.sum()
+    monkeypatch.setattr(extremal, "_first_pass", _kill_nothing)
+    alone = extremal_points(space, C, params)
+    assert alone.pass_proven == alone.pass_killed == 0
+    assert np.array_equal(scan.rows, alone.rows)
+
+
+def test_dual_exponents():
+    assert [extremal._dual_exponent(p) for p in (1.0, 2.0, 3.0, math.inf)] == [
+        math.inf, 2.0, 1.5, 1.0]
+
+
+@pytest.mark.parametrize("p", [1.001, 1.0001, 2.0, 3.0, 1.0, math.inf])
+def test_dual_norms_survive_large_dual_exponents(p):
+    # rows of entries all below 1 or all above it: their r-th powers under-
+    # or overflow for r = p / (p - 1) near p = 1, but not their norms
+    n = np.array([[0.4, -0.4], [3.0, 2.0], [0.0, 0.0]])
+    r = extremal._dual_exponent(p)
+    want = [0.4 * 2.0 ** (1.0 / r), 3.0 * (1.0 + (2.0 / 3.0) ** r) ** (1.0 / r), 0.0]
+    assert np.allclose(extremal._dual_norms(n, p), want, rtol=1e-12, atol=0.0)
+
+
+def test_halfspace_gap_at_exactly_the_bound_does_not_prove(plane):
+    # q = (0, 0) with the rows (-1, -1) and (1, -1) beyond delta: n = (0, 1),
+    # <n, q> - h = 1 and ||n|| = 1 exactly, and eps is chosen so that the
+    # bound eps (1 + band) + band (the net's scale is 1) rounds to 1 too
+    net = PointNet.build(plane, [euclidean(0.0, 0.0), euclidean(-1.0, -1.0),
+                                 euclidean(1.0, -1.0)], 0.25)
+    q = net.points.index(euclidean(0.0, 0.0))
+    eps = (1.0 - extremal._PASS_BAND) / (1.0 + extremal._PASS_BAND)
+    for _ in range(64):
+        if extremal._proof_margin(eps, 1.0) == 1.0:
+            break
+        eps = np.nextafter(eps, 2.0 if extremal._proof_margin(eps, 1.0) < 1.0 else 0.0)
+    assert extremal._proof_margin(eps, 1.0) == 1.0
+    params = ExtremalParams(eps=float(eps), delta=1.2, face_tol=0.25)
+    assert not np.ma.getmaskarray(extremal._first_pass(plane, net, params))[q]
+    # left open, the scan decides q: no chord sample comes within 1 of it
+    assert q in extremal_points(plane, net, params).rows
+    while extremal._proof_margin(eps, 1.0) >= 1.0:
+        eps = np.nextafter(eps, 0.0)
+    below = replace(params, eps=float(eps))
+    assert np.ma.getmaskarray(extremal._first_pass(plane, net, below))[q]
+    assert q in extremal_points(plane, net, below).rows
+
+
+@pytest.mark.parametrize("p, delta", [(2.0, 2.2), (3.0, 2.0), (math.inf, 1.8)])
+def test_halfspace_proof_is_tight_to_the_dual_norm(p, delta):
+    # the chord (-2, -1)-(-1, -2) meets its supporting line x + y = -3 at its
+    # t = 1/2 sample m = (-3/2, -3/2), where Hoelder's inequality is an
+    # equality: d(q, m) = 9/2 / ||n||_* for q = (0, 0) and n = (3/2, 3/2).
+    # Just beyond that distance q is proven; just inside it the scan kills q
+    # and the pass must not prove it (a larger dual exponent would).
+    space = make_lp_space(NormedSpaceSpec(2, p))
+    q = euclidean(0.0, 0.0)
+    net = PointNet.build(space, [q, euclidean(-2.0, -1.0), euclidean(-1.0, -2.0)], 0.25)
+    qi = net.points.index(q)
+    r = distance(space, q, euclidean(-1.5, -1.5))
+    assert r < delta < distance(space, q, euclidean(-2.0, -1.0))
+    for scale, extremal_q in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        params = ExtremalParams(eps=r * scale, delta=delta, face_tol=0.25)
+        assert np.ma.getmaskarray(extremal._first_pass(space, net, params))[qi] == extremal_q
+        assert (qi in extremal_points(space, net, params).rows) == extremal_q
+
+
+def test_first_pass_memory_is_bounded_in_t_grid(plane, monkeypatch):
+    """The first pass blocks its targets by distance rows and fitted
+    parameters and chunks its chord samples, so its peak stays under 16 MB
+    at t_grid 201, where one block holding all its targets' t_grid^2 / 2
+    chord samples takes about 210 MB on this 36-point grid.  At the default
+    grid, blocks of one target and chunks of two chords settle the same
+    targets."""
+    pts = [euclidean(i / 5, j / 5) for i in range(6) for j in range(6)]
+    C = PointNet.build(plane, pts, 0.2)
+    params = ExtremalParams(eps=0.2, delta=0.45, t_grid=201, face_tol=0.05)
+    tracemalloc.start()
+    try:
+        extremal._first_pass(plane, C, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    params = replace(params, t_grid=7)
+    default = extremal._first_pass(plane, C, params)
+    monkeypatch.setattr(extremal, "BLOCK_ENTRIES", 64)
+    small = extremal._first_pass(plane, C, params)
+    assert np.ma.getdata(default).any()
+    assert np.array_equal(np.ma.getdata(small), np.ma.getdata(default))
+    assert np.array_equal(np.ma.getmaskarray(small), np.ma.getmaskarray(default))
 
 
 @pytest.mark.parametrize("linear_space", LINEAR, indirect=True)

@@ -5,12 +5,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bicombing_lab
 from bicombing_lab import (
     ConvexityWitness,
     InvalidInputError,
@@ -211,6 +216,25 @@ def test_cli_gen_and_pipelines(tmp_path, capsys):
         rep = json.loads(out.read_text())
         assert rep["passed"] is True
         assert rep["command"] == sub
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """`python -m bicombing_lab` is cli.main: gen writes the same file and
+    exits 0, and an unknown flag exits 2."""
+    src = str(Path(bicombing_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "bicombing_lab", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "square.json"
+    assert run("gen", "square", "--out", str(out)).returncode == 0
+    assert main(["gen", "square", "--out", str(tmp_path / "ref.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    bad = run("gen", "square", "--no-such-flag")
+    assert bad.returncode == 2 and "--no-such-flag" in bad.stderr
 
 
 def test_cli_reports_byte_identical(tmp_path):
